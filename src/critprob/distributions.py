@@ -23,6 +23,9 @@ from .piecewise import PiecewisePolynomial
 
 EPSILON_FLOOR = 1e-12
 EPSILON_RANGE_FACTOR = 1e-9
+# A widened support spans at least this many ulps of its value, so its
+# bounds stay distinct however far the value sits from the origin.
+DEGENERATE_ULPS = 4
 
 _KINDS = ("uniform", "epanechnikov", "histogram")
 
@@ -34,6 +37,11 @@ def default_epsilon(values) -> float:
         return EPSILON_FLOOR
     spread = float(arr.max() - arr.min())
     return max(EPSILON_FLOOR, EPSILON_RANGE_FACTOR * spread)
+
+
+def degenerate_width(center, eps: float):
+    """Support width given to a zero-spread fit at ``center``."""
+    return np.maximum(eps, DEGENERATE_ULPS * np.spacing(np.abs(center)))
 
 
 @dataclass(frozen=True)
@@ -52,52 +60,102 @@ class Support:
             raise ValueError(f"support must have positive width, got [{self.lo}, {self.hi}]")
 
 
-# -- vectorized inverse-CDF kernels -------------------------------------
+# -- vectorized sampling kernels -----------------------------------------
 #
-# These operate on arrays so the grid Monte Carlo path and the per-case
-# path run the identical floating-point operations.
+# Each kernel turns uniform [0, 1) planes into draws written to ``out``
+# and may overwrite its uniform inputs.  Parameters broadcast against the
+# planes: scalars or (1, 1) arrays for one distribution, (pixels, 1)
+# columns for a tile of grid pixels.  The grid Monte Carlo path and the
+# per-case samplers run these same floating-point operations, so their
+# draws agree bit for bit.  The uniform and Gaussian kernels allocate
+# nothing; the others allocate only their boundary masks and, for
+# histograms, per-draw bin lookups.
 
-def uniform_icdf(lo, hi, u):
-    return (1.0 - u) * lo + u * hi
+def uniform_icdf(lo, hi, u, out):
+    """(1 - u) * lo + u * hi."""
+    np.subtract(1.0, u, out=out)
+    out *= lo
+    u *= hi
+    out += u
+    return out
 
 
-def epanechnikov_icdf(mean, halfwidth, u):
+def epanechnikov_icdf(mean, halfwidth, u, out):
     # The quadratic-bump CDF is a monotone cubic; its root has the exact
     # trigonometric form 2 sin(arcsin(2u - 1) / 3).
-    root = 2.0 * np.sin(np.arcsin(2.0 * u - 1.0) / 3.0)
-    x = mean + halfwidth * root
-    x = np.where(u == 0.0, mean - halfwidth, x)
-    return np.where(u == 1.0, mean + halfwidth, x)
+    np.multiply(u, 2.0, out=out)
+    out -= 1.0
+    np.arcsin(out, out=out)
+    out /= 3.0
+    np.sin(out, out=out)
+    out *= 2.0
+    out *= halfwidth
+    out += mean
+    np.copyto(out, mean - halfwidth, where=u == 0.0)
+    np.copyto(out, mean + halfwidth, where=u == 1.0)
+    return out
 
 
-def histogram_icdf(lo, binw, weights, cum, u):
+def box_muller(mean, stddev, u1, u2, out):
+    """Normal draws mean + stddev * sqrt(-2 log(1 - u1)) cos(2 pi u2)."""
+    np.negative(u1, out=out)
+    np.log1p(out, out=out)
+    out *= -2.0
+    np.sqrt(out, out=out)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    out *= u2
+    out *= stddev
+    out += mean
+    return out
+
+
+def histogram_icdf(lo, binw, weights, cum, u, out):
     """Inverse CDF for equal-width histograms.
 
     ``weights`` is (P, h), ``cum`` is the (P, h + 1) inclusive prefix sum
     starting at 0, ``lo`` and ``binw`` are (P, 1), ``u`` is (P, n).
     """
     h = weights.shape[1]
+    top = u == 1.0
     j = np.zeros(u.shape, dtype=np.intp)
     for k in range(1, h):
         j += u >= cum[:, k : k + 1]
     cw = np.take_along_axis(cum, j, axis=1)
     wj = np.take_along_axis(weights, j, axis=1)
-    safe = np.where(wj > 0.0, wj, 1.0)
-    frac = np.where(wj > 0.0, (u - cw) / safe, 0.0)
-    e0 = lo + binw * j
-    x = (1.0 - frac) * e0 + frac * (e0 + binw)
-    return np.where(u == 1.0, lo + binw * h, x)
+    # position within the bin, 0 in a bin of zero weight
+    u -= cw
+    filled = wj > 0.0
+    np.divide(u, wj, out=u, where=filled)
+    np.copyto(u, 0.0, where=np.logical_not(filled, out=filled))
+    # left bin edge lo + binw * j
+    np.multiply(binw, j, out=cw)
+    cw += lo
+    np.subtract(1.0, u, out=out)
+    out *= cw
+    cw += binw
+    u *= cw
+    out += u
+    np.copyto(out, lo + binw * h, where=top)
+    return out
 
 
-def histogram_cdf_values(lo, binw, weights, cum, x):
-    """CDF of an equal-width histogram at ``x``; same shapes as above."""
+def histogram_cdf_values(lo, binw, weights, cum, x, out):
+    """CDF of an equal-width histogram at ``x`` into ``out``; same shapes as above."""
     h = weights.shape[1]
-    j = np.floor((x - lo) / binw).astype(np.intp)
+    np.subtract(x, lo, out=out)
+    out /= binw
+    j = np.floor(out, out=out).astype(np.intp)
     np.clip(j, 0, h - 1, out=j)
     cw = np.take_along_axis(cum, j, axis=1)
     wj = np.take_along_axis(weights, j, axis=1)
-    frac = (x - (lo + binw * j)) / binw
-    return np.clip(cw + wj * frac, 0.0, 1.0)
+    np.multiply(binw, j, out=out)
+    out += lo
+    np.subtract(x, out, out=out)
+    out /= binw
+    out *= wj
+    out += cw
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 # -- distribution objects ------------------------------------------------
@@ -224,21 +282,23 @@ class FiniteDistribution:
             raise ValueError("u must lie in [0, 1]")
         scalar = arr.ndim == 0
         lo, hi = self.support.lo, self.support.hi
+        work, out = arr.copy(), np.empty(arr.shape)
         if self.kind == "uniform":
-            out = uniform_icdf(lo, hi, arr)
+            uniform_icdf(lo, hi, work, out)
         elif self.kind == "epanechnikov":
-            out = epanechnikov_icdf(0.5 * (lo + hi), 0.5 * (hi - lo), arr)
+            epanechnikov_icdf(0.5 * (lo + hi), 0.5 * (hi - lo), work, out)
         else:
             w = self.bin_weights
             cum = np.concatenate(([0.0], np.cumsum(w)))
             cum[-1] = 1.0
-            out = histogram_icdf(
+            histogram_icdf(
                 np.array([[lo]]),
                 np.array([[(hi - lo) / w.size]]),
                 w[None, :],
                 cum[None, :],
-                arr.reshape(1, -1),
-            ).reshape(arr.shape)
+                work.reshape(1, -1),
+                out.reshape(1, -1),
+            )
         return float(out) if scalar else out
 
 
@@ -268,10 +328,8 @@ class GaussianSampler:
         u = np.asarray(u, dtype=float)
         if u.ndim < 1 or u.shape[-2] != 2:
             raise ValueError("Gaussian draws need two uniform planes")
-        u1 = u[..., 0, :]
-        u2 = u[..., 1, :]
-        z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
-        return self.mean + self.stddev * z
+        u2 = u[..., 1, :].copy()
+        return box_muller(self.mean, self.stddev, u[..., 0, :], u2, np.empty(u2.shape))
 
 
 # -- direct constructors --------------------------------------------------
@@ -302,12 +360,13 @@ def _as_samples(samples) -> np.ndarray:
 
 
 def uniform_from_samples(samples, eps: float | None = None) -> FiniteDistribution:
-    """Range-fitted uniform; a degenerate range is widened by ``eps``."""
+    """Range-fitted uniform; a degenerate range is widened by ``degenerate_width``."""
     arr = _as_samples(samples)
     lo, hi = float(arr.min()), float(arr.max())
     if hi <= lo:
         eps = default_epsilon(arr) if eps is None else eps
-        lo, hi = lo - 0.5 * eps, lo + 0.5 * eps
+        half = 0.5 * degenerate_width(lo, eps)
+        lo, hi = lo - half, lo + half
     return uniform(lo, hi)
 
 
@@ -317,7 +376,7 @@ def epanechnikov_from_samples(
     """Moment-fitted quadratic bump: mean +/- k * sample stddev.
 
     The default k = sqrt(5) makes the fitted variance equal the sample
-    variance.  A zero-spread sample set is widened by ``eps``.
+    variance.  A zero-spread sample set is widened by ``degenerate_width``.
     """
     arr = _as_samples(samples)
     if arr.size < 2:
@@ -328,7 +387,7 @@ def epanechnikov_from_samples(
     halfwidth = k * float(arr.std(ddof=1))
     if halfwidth <= 0.0:
         eps = default_epsilon(arr) if eps is None else eps
-        halfwidth = 0.5 * eps
+        halfwidth = 0.5 * degenerate_width(mean, eps)
     return epanechnikov(mean, halfwidth)
 
 
@@ -336,7 +395,7 @@ def histogram_from_samples(samples, bins: int, eps: float | None = None) -> Fini
     """Equal-width histogram over the sample range.
 
     A sample equal to the top edge lands in the last bin.  All-equal
-    samples produce a single eps-wide bin with weight 1.
+    samples produce a single bin of weight 1, ``degenerate_width`` wide.
     """
     if not bins >= 1:
         raise ValueError("bins must be at least 1")
@@ -344,7 +403,8 @@ def histogram_from_samples(samples, bins: int, eps: float | None = None) -> Fini
     lo, hi = float(arr.min()), float(arr.max())
     if hi <= lo:
         eps = default_epsilon(arr) if eps is None else eps
-        return histogram(lo - 0.5 * eps, lo + 0.5 * eps, [1.0])
+        half = 0.5 * degenerate_width(lo, eps)
+        return histogram(lo - half, lo + half, [1.0])
     idx = np.floor((arr - lo) * (bins / (hi - lo))).astype(np.intp)
     np.clip(idx, 0, bins - 1, out=idx)
     counts = np.bincount(idx, minlength=bins).astype(float)

@@ -25,6 +25,13 @@ center density and the four neighbor CDFs are evaluated once on those
 nodes; the channels are products of the same arrays.  Per-pixel work
 never depends on how pixels are chunked, so results are identical for
 any worker count.
+
+The Monte Carlo and semianalytical estimators walk each chunk in tiles
+of ``max(1, TILE_DRAWS // n)`` pixels for ``n`` draws per pixel.  Every
+tile fills the same buffers in place (counter-based uniform draws keyed
+by pixel, the inverse-CDF transform, the pattern flags), so their
+memory is set by the tile, not by the chunk, and stays in cache.  Draws
+and counts are per pixel, so tiles change no result.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import numpy as np
 from . import rngstream
 from .distributions import (
     FiniteDistribution,
+    box_muller,
     epanechnikov_icdf,
     histogram_cdf_values,
     histogram_icdf,
@@ -200,33 +208,48 @@ def closed_pattern_prob(case: NeighborhoodCase, pattern: str) -> float:
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _pattern_stats(xs: list[np.ndarray], patterns) -> dict[str, np.ndarray]:
+def _fold(ufunc, arrays, out: np.ndarray) -> np.ndarray:
+    """Left fold of a binary ufunc over two or more arrays, into ``out``."""
+    ufunc(arrays[0], arrays[1], out=out)
+    for a in arrays[2:]:
+        ufunc(out, a, out=out)
+    return out
+
+
+def _pattern_stats(xs, patterns, scratch: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Fractions of joint draws matching each pattern.
 
     ``xs`` holds draws for center then neighbors; arrays may carry a
     leading pixel axis.  Comparisons are strict, so ties count against
-    every pattern.
+    every pattern.  ``scratch`` is a bool work area of shape
+    (2 * neighbors + 2, *xs[0].shape), allocated when not given; only
+    the comparisons a requested pattern needs are made.
     """
-    c = xs[0]
+    c, nbrs = xs[0], xs[1:]
+    k = len(nbrs)
+    if scratch is None:
+        scratch = np.empty((2 * k + 2,) + c.shape, dtype=bool)
+    below, above, acc = scratch[:k], scratch[k : 2 * k], scratch[2 * k :]
+    if "min" in patterns or "saddle" in patterns:
+        for i in range(k):
+            np.less(c, nbrs[i], out=below[i])
+    if "max" in patterns or "saddle" in patterns:
+        for i in range(k):
+            np.greater(c, nbrs[i], out=above[i])
+    n = c.shape[-1]
     out = {}
-    if len(xs) == 3:
-        a, b = xs[1], xs[2]
-        if "min" in patterns:
-            out["min"] = ((c < a) & (c < b)).mean(axis=-1)
-        if "max" in patterns:
-            out["max"] = ((c > a) & (c > b)).mean(axis=-1)
-        if "saddle" in patterns:
-            out["saddle"] = (((c < a) & (c > b)) | ((c > a) & (c < b))).mean(axis=-1)
-        return out
-    e, n, w, s = xs[1:]
     if "min" in patterns:
-        out["min"] = ((c < e) & (c < n) & (c < w) & (c < s)).mean(axis=-1)
+        out["min"] = np.count_nonzero(_fold(np.logical_and, below, acc[0]), axis=-1) / n
     if "max" in patterns:
-        out["max"] = ((c > e) & (c > n) & (c > w) & (c > s)).mean(axis=-1)
+        out["max"] = np.count_nonzero(_fold(np.logical_and, above, acc[0]), axis=-1) / n
     if "saddle" in patterns:
-        first = (c < e) & (c > n) & (c < w) & (c > s)
-        second = (c > e) & (c < n) & (c > w) & (c < s)
-        out["saddle"] = (first | second).mean(axis=-1)
+        # below the first neighbor of each axis pair (east, west) and
+        # above the second (north, south), or the reverse
+        first = [below[i] if i % 2 == 0 else above[i] for i in range(k)]
+        second = [above[i] if i % 2 == 0 else below[i] for i in range(k)]
+        either = _fold(np.logical_and, first, acc[0])
+        either |= _fold(np.logical_and, second, acc[1])
+        out["saddle"] = np.count_nonzero(either, axis=-1) / n
     return out
 
 
@@ -438,33 +461,35 @@ def semianalytical_prob(
     _require_histograms(case)
     u = rngstream.unit_planes(seed, pixel, 1, c)
     x = case.center.sample_u01(u[0]).reshape(1, -1)
-    cdfs = []
-    for d in case.neighbors:
+    cdf = np.empty((len(case.neighbors),) + x.shape)
+    for d, f in zip(case.neighbors, cdf):
         lo, binw, wn, cum = _hist_arrays(d)
-        cdfs.append(
-            histogram_cdf_values(
-                np.array([[lo]]), np.array([[binw]]), wn[None, :], cum[None, :], x
-            )
+        histogram_cdf_values(
+            np.array([[lo]]), np.array([[binw]]), wn[None, :], cum[None, :], x, f
         )
-    return float(_conditional_pattern(cdfs, pattern).mean())
+    terms = np.empty((2,) + x.shape)
+    return float(_conditional_pattern(cdf, 1.0 - cdf, pattern, terms).mean())
 
 
-def _conditional_pattern(cdfs: list[np.ndarray], pattern: str) -> np.ndarray:
-    """Combine neighbor CDF values at the drawn centers into one pattern."""
+def _conditional_pattern(cdf, sf, pattern: str, out: np.ndarray) -> np.ndarray:
+    """Combine neighbor CDF values at the drawn centers into one pattern.
+
+    ``cdf`` and ``sf`` hold each neighbor's CDF and survival values,
+    shape (neighbors, ...); ``out`` is a (2, ...) work area whose first
+    entry receives the result.
+    """
     if pattern == "min":
-        out = 1.0 - cdfs[0]
-        for f in cdfs[1:]:
-            out = out * (1.0 - f)
-        return out
+        return _fold(np.multiply, sf, out[0])
     if pattern == "max":
-        out = cdfs[0].copy()
-        for f in cdfs[1:]:
-            out = out * f
-        return out
-    if len(cdfs) == 2:
-        return (1.0 - cdfs[0]) * cdfs[1] + cdfs[0] * (1.0 - cdfs[1])
-    e, n, w, s = cdfs
-    return (1.0 - e) * n * (1.0 - w) * s + e * (1.0 - n) * w * (1.0 - s)
+        return _fold(np.multiply, cdf, out[0])
+    # below the first neighbor of each axis pair and above the second,
+    # or the reverse
+    k = len(cdf)
+    first = [sf[i] if i % 2 == 0 else cdf[i] for i in range(k)]
+    second = [cdf[i] if i % 2 == 0 else sf[i] for i in range(k)]
+    total = _fold(np.multiply, first, out[0])
+    total += _fold(np.multiply, second, out[1])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -657,47 +682,99 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
     return acc.sum(axis=1)
 
 
-def _position_samples(kind: str, p: dict[str, np.ndarray], u: np.ndarray) -> np.ndarray:
-    """Transform one position's uniform planes into value draws.
+# Draws per tile of the sampling kernels (16 pixels at 2000 draws).  A
+# tile's buffers take 74 bytes per draw for one-plane models: splitmix64
+# scratch, the uniform plane, five positions' draws and the pattern
+# flags.  Measured on a 2-core x86 host (48 KiB L1d, 2 MiB L2 per core),
+# uniform MC(2000) on one 1000-pixel chunk, median of 15 interleaved
+# rounds: 4096 draws 0.222 s, 8192 0.162, 16384 0.131, 32768 0.123,
+# 65536 0.131 (the untiled kernel took 0.40 s).  Histogram and Gaussian
+# chunks are within 10% of each other over 16384..65536.
+TILE_DRAWS = 32768
 
-    These are the same floating-point operations the per-case samplers
-    run, so grid draws match single-case draws bit for bit.
+
+def _tiles(npix: int, n: int):
+    """Tile size and pixel slices for ``n`` draws per pixel."""
+    size = max(1, TILE_DRAWS // n)
+    return size, [slice(s, min(s + size, npix)) for s in range(0, npix, size)]
+
+
+def _sampler(kind: str, p: dict[str, np.ndarray]):
+    """Sampling kernel for one stencil position and its per-pixel parameters.
+
+    Parameters are (pixels, 1) columns or (pixels, bins) tables, so a
+    tile slices them by rows.  These are the values the per-case
+    samplers pass, so grid draws match single-case draws bit for bit.
     """
     if kind == "gaussian":
-        z = np.sqrt(-2.0 * np.log1p(-u[:, 0, :])) * np.cos(2.0 * np.pi * u[:, 1, :])
-        return p["mean"][:, None] + p["stddev"][:, None] * z
-    plane = u[:, 0, :]
+        return box_muller, (p["mean"][:, None], p["stddev"][:, None])
     if kind == "uniform":
-        return uniform_icdf(p["lo"][:, None], p["hi"][:, None], plane)
+        return uniform_icdf, (p["lo"][:, None], p["hi"][:, None])
     if kind == "epanechnikov":
         lo = p["mean"] - p["halfwidth"]
         hi = p["mean"] + p["halfwidth"]
-        return epanechnikov_icdf(
-            (0.5 * (lo + hi))[:, None], (0.5 * (hi - lo))[:, None], plane
-        )
+        return epanechnikov_icdf, ((0.5 * (lo + hi))[:, None], (0.5 * (hi - lo))[:, None])
     lo, binw, wn, cum = _hist_prep(p)
     cum[:, -1] = 1.0
-    return histogram_icdf(lo[:, None], binw[:, None], wn, cum, plane)
+    return histogram_icdf, (lo[:, None], binw[:, None], wn, cum)
 
 
 def _mc_chunk(kind, pos, px_idx, n, seed, channels) -> dict[str, np.ndarray]:
+    """Monte Carlo fractions of a pixel chunk, one small tile at a time.
+
+    Every tile reuses the same buffers: its uniform planes, the draws of
+    the five positions and the pattern flags.
+    """
     per = 2 if kind == "gaussian" else 1
-    u = rngstream.unit_block(seed, px_idx, 5 * per, n)
-    xs = [
-        _position_samples(kind, pos[i], u[:, i * per : (i + 1) * per, :])
-        for i in range(5)
-    ]
-    return _pattern_stats(xs, channels)
+    samplers = [_sampler(kind, p) for p in pos]
+    keys = rngstream.stream_keys(seed, px_idx, 5 * per)
+    ctr = rngstream.counters(n)
+    size, tiles = _tiles(px_idx.size, n)
+    scratch = np.empty((2, size, n), dtype=np.uint64)
+    u = np.empty((per, size, n))
+    xs = np.empty((5, size, n))
+    flags = np.empty((10, size, n), dtype=bool)
+    out = {ch: np.empty(px_idx.size) for ch in channels}
+    for sl in tiles:
+        k = sl.stop - sl.start
+        for i, (kernel, params) in enumerate(samplers):
+            for q in range(per):
+                rngstream.fill_units(keys[sl, i * per + q], ctr, u[q, :k], scratch[:, :k])
+            kernel(*(a[sl] for a in params), *u[:, :k], xs[i, :k])
+        stats = _pattern_stats(xs[:, :k], channels, flags[:, :k])
+        for ch in channels:
+            out[ch][sl] = stats[ch]
+    return out
 
 
 def _semi_chunk(pos, px_idx, c, seed, channels) -> dict[str, np.ndarray]:
-    u = rngstream.unit_block(seed, px_idx, 1, c)
-    x = _position_samples("histogram", pos[0], u)
-    cdfs = []
+    """Semianalytical estimates of a pixel chunk through the same tile loop."""
+    kernel, center = _sampler("histogram", pos[0])
+    nbrs = []
     for p in pos[1:]:
         lo, binw, wn, cum = _hist_prep(p)
-        cdfs.append(histogram_cdf_values(lo[:, None], binw[:, None], wn, cum, x))
-    return {ch: _conditional_pattern(cdfs, ch).mean(axis=1) for ch in channels}
+        nbrs.append((lo[:, None], binw[:, None], wn, cum))
+    keys = rngstream.stream_keys(seed, px_idx, 1)[:, 0]
+    ctr = rngstream.counters(c)
+    size, tiles = _tiles(px_idx.size, c)
+    scratch = np.empty((2, size, c), dtype=np.uint64)
+    u = np.empty((size, c))
+    x = np.empty((size, c))
+    cdf = np.empty((4, size, c))
+    sf = np.empty((4, size, c))
+    terms = np.empty((2, size, c))
+    out = {ch: np.empty(px_idx.size) for ch in channels}
+    for sl in tiles:
+        k = sl.stop - sl.start
+        rngstream.fill_units(keys[sl], ctr, u[:k], scratch[:, :k])
+        kernel(*(a[sl] for a in center), u[:k], x[:k])
+        for i, params in enumerate(nbrs):
+            histogram_cdf_values(*(a[sl] for a in params), x[:k], cdf[i, :k])
+        np.subtract(1.0, cdf[:, :k], out=sf[:, :k])
+        for ch in channels:
+            pattern = _conditional_pattern(cdf[:, :k], sf[:, :k], ch, terms[:, :k])
+            out[ch][sl] = pattern.mean(axis=-1)
+    return out
 
 
 def _comb_chunk(pos, channels) -> dict[str, np.ndarray]:

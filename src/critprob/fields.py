@@ -20,20 +20,12 @@ from .distributions import FiniteDistribution, GaussianSampler, Support
 
 MODEL_KINDS = ("uniform", "epanechnikov", "histogram", "gaussian")
 CHANNELS = ("min", "max", "saddle")
-# A widened support spans at least this many ulps of its value, so its
-# bounds stay distinct however far the value sits from the origin.
-DEGENERATE_ULPS = 4
-
-
-def _degenerate_width(center: np.ndarray, eps: float) -> np.ndarray:
-    """Per-pixel support width given to degenerate pixels at ``center``."""
-    return np.maximum(eps, DEGENERATE_ULPS * np.spacing(np.abs(center)))
 
 
 def _widen_degenerate(lo: np.ndarray, hi: np.ndarray, eps: float):
     """Replace zero-width [lo, hi] ranges by a widened range around lo."""
     degenerate = hi <= lo
-    half = 0.5 * _degenerate_width(lo, eps)
+    half = 0.5 * dist.degenerate_width(lo, eps)
     return np.where(degenerate, lo - half, lo), np.where(degenerate, lo + half, hi)
 
 
@@ -143,8 +135,9 @@ class UncertainField:
 
         Degenerate pixels (all members equal) are widened by an epsilon
         proportional to the global data range, and by at least
-        ``DEGENERATE_ULPS`` ulps of their value, so every support has
-        positive width.
+        ``distributions.DEGENERATE_ULPS`` ulps of their value, so every
+        support has positive width.  The per-case ``*_from_samples``
+        fitters use the same rule.
         """
         values = stack.values.astype(np.float64)
         if values.shape[0] < 2 and model.kind in ("epanechnikov", "gaussian"):
@@ -164,7 +157,7 @@ class UncertainField:
         mean = values.mean(axis=0)
         std = values.std(axis=0, ddof=1)
         if model.kind == "epanechnikov":
-            halfwidth = np.maximum(model.k * std, 0.5 * _degenerate_width(mean, eps))
+            halfwidth = np.maximum(model.k * std, 0.5 * dist.degenerate_width(mean, eps))
             return cls(model, {"mean": mean, "halfwidth": halfwidth})
         return cls(model, {"mean": mean, "stddev": std})
 

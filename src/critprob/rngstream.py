@@ -9,6 +9,10 @@ of samples with numpy integer arithmetic.
 
 A "plane" is one independent stream; a neighborhood draw uses one plane
 per bounded distribution and two per Gaussian (for the Box-Muller pair).
+``stream_keys`` gives each (pixel, plane) stream its key, and
+``fill_units`` writes the draws of a batch of streams into caller-owned
+buffers, so a kernel that works through small tiles allocates nothing
+per tile.
 """
 
 from __future__ import annotations
@@ -18,16 +22,60 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _PIXEL_SALT = np.uint64(0xBF58476D1CE4E5B9)
 _PLANE_SALT = np.uint64(0x94D049BB133111EB)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on uint64 arrays (wrapping arithmetic)."""
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, in place on the uint64 array ``z``.
+
+    ``tmp`` is scratch of the same shape.  Array arithmetic wraps.
+    """
+    np.right_shift(z, 30, out=tmp)
+    z ^= tmp
+    z *= _MIX_1
+    np.right_shift(z, 27, out=tmp)
+    z ^= tmp
+    z *= _MIX_2
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
+
+
+def _mixed(z) -> np.ndarray:
+    z = np.array(z, dtype=np.uint64)
+    return _mix(z, np.empty_like(z))
+
+
+def stream_keys(seed: int, pixels, planes: int) -> np.ndarray:
+    """Stream key of every (pixel, plane) pair, shape (len(pixels), planes)."""
+    px = np.asarray(pixels, dtype=np.uint64).reshape(-1)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        base = _mixed(np.uint64(int(seed) & _MASK) + _GOLDEN)
+        per_pixel = _mixed(base ^ (px * _PIXEL_SALT))
+        plane_ids = np.arange(planes, dtype=np.uint64)
+        return _mixed(per_pixel[:, None] ^ (plane_ids[None, :] * _PLANE_SALT))
+
+
+def counters(n: int) -> np.ndarray:
+    """Keyed-counter offsets of sample indices 0 .. n - 1."""
+    return (np.arange(n, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+
+
+def fill_units(keys: np.ndarray, ctr: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the draws of streams ``keys`` (k,) at ``ctr`` (n,) into ``out`` (k, n).
+
+    ``scratch`` is a uint64 (2, k, n) work area.  Every step runs in
+    place, so nothing is allocated.
+    """
+    z, tmp = scratch
+    np.add(keys[:, None], ctr, out=z)
+    _mix(z, tmp)
+    z >>= 11
+    # below 2**53 now, so the signed conversion is exact and faster
+    np.multiply(z.view(np.int64), _INV_2_53, out=out)
 
 
 def unit_block(seed: int, pixels, planes: int, n: int) -> np.ndarray:
@@ -37,15 +85,13 @@ def unit_block(seed: int, pixels, planes: int, n: int) -> np.ndarray:
     a length-1 array and drop the first axis.  Draws for a given
     (seed, pixel, plane, i) never depend on the rest of the block.
     """
-    px = np.asarray(pixels, dtype=np.uint64).reshape(-1)
-    with np.errstate(over="ignore"):
-        base = _mix(np.uint64(int(seed) & _MASK) + _GOLDEN)
-        per_pixel = _mix(base ^ (px * _PIXEL_SALT))
-        plane_ids = np.arange(planes, dtype=np.uint64)
-        keys = _mix(per_pixel[:, None] ^ (plane_ids[None, :] * _PLANE_SALT))
-        counters = (np.arange(n, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-        state = keys[:, :, None] + counters[None, None, :]
-    return (_mix(state) >> np.uint64(11)) * _INV_2_53
+    keys = stream_keys(seed, pixels, planes)
+    ctr = counters(n)
+    out = np.empty(keys.shape + (n,))
+    scratch = np.empty((2, keys.shape[0], n), dtype=np.uint64)
+    for q in range(planes):
+        fill_units(keys[:, q], ctr, out[:, q], scratch)
+    return out
 
 
 def unit_planes(seed: int, pixel: int, planes: int, n: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from critprob.distributions import (
     uniform,
     uniform_from_samples,
 )
+from critprob.fields import EnsembleStack, ModelSpec, UncertainField
 
 
 def bisect_icdf(dist: FiniteDistribution, q: float) -> float:
@@ -186,6 +187,23 @@ class TestConstructors:
         d = histogram_from_samples([7.0, 7.0], 3)
         assert d.bin_weights == pytest.approx([1.0])
         assert d.support.width > 0.0
+
+    @pytest.mark.parametrize("value", [1.0, -1.0, 1e4, -1e4, 1e8, -1e8])
+    def test_constant_samples_widen_like_field_fit(self, value):
+        # eps alone (1e-12) is below ulp(1e4), so these fits used to
+        # collapse to zero width; they must widen as from_ensemble does
+        samples = [value] * 5
+        stack = EnsembleStack(np.full((5, 3, 3), value))
+        fits = {
+            "uniform": uniform_from_samples(samples),
+            "histogram": histogram_from_samples(samples, 5),
+        }
+        for kind, d in fits.items():
+            field = UncertainField.from_ensemble(stack, ModelSpec(kind=kind, bins=5))
+            ref = field.dist_at(1, 1).support
+            assert (d.support.lo, d.support.hi) == (ref.lo, ref.hi)
+        epa = epanechnikov_from_samples(samples)
+        assert epa.support.lo < value < epa.support.hi
 
     def test_histogram_zero_bins_error(self):
         with pytest.raises(ValueError):

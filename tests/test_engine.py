@@ -13,6 +13,7 @@ from critprob.distributions import (
     histogram,
     uniform,
 )
+from critprob import engine
 from critprob.engine import (
     CHANNELS,
     COMBINATORIAL_MAX_BINS,
@@ -620,6 +621,10 @@ class TestClassifyField:
             (small_field("uniform", seed=7), EstimatorSpec()),
             (small_field("epanechnikov", seed=7), EstimatorSpec()),
         ]
+        # 6-pixel tiles: one worker's tiles start at multiples of 6, two
+        # workers' at 0, 6, 12 and 15, 21, 27
+        mc = EstimatorSpec(method="monte_carlo", n_samples=engine.TILE_DRAWS // 6, seed=1)
+        runs += [(small_field(kind, seed=7), mc) for kind in ("epanechnikov", "gaussian")]
         for field, est in runs:
             one = classify_field(field, est, workers=1)
             two = classify_field(field, est, workers=2)
@@ -664,6 +669,32 @@ class TestClassifyField:
         )
         with pytest.raises(ValueError):
             classify_field(tiny)
+
+    def test_sampling_tile_edges_match_per_case_calls_bitwise(self):
+        # a few pixels per tile, so the 16 interior pixels span several
+        # tiles and end in a partial one
+        n = engine.TILE_DRAWS // 5
+        tile = max(1, engine.TILE_DRAWS // n)
+        assert 16 > tile and 16 % tile != 0
+        subsets = [CHANNELS] + [(ch,) for ch in CHANNELS]
+        for kind in ("uniform", "epanechnikov", "histogram", "gaussian"):
+            field = small_field(kind, seed=12, shape=(6, 6))
+            ests = [EstimatorSpec(method="monte_carlo", n_samples=n, seed=5)]
+            if kind == "histogram":
+                ests.append(EstimatorSpec(method="semianalytical", c=n, seed=5))
+            for est in ests:
+                for subset in subsets:
+                    prob = classify_field(field, est, channels=subset)
+                    for r, c in itertools.product(range(1, 5), repeat=2):
+                        key = dict(seed=5, pixel=pixel_index(field, r, c))
+                        case = case_at(field, r, c)
+                        if est.method == "monte_carlo":
+                            want = dict(zip(CHANNELS, mc_all_patterns(case, n, **key)))
+                        else:
+                            want = {ch: semianalytical_prob(case, ch, n, **key) for ch in subset}
+                        for ch in CHANNELS:
+                            got = prob.channel(ch)[r, c]
+                            assert got == (want[ch] if ch in subset else 0.0)
 
     def test_mc_chunking_boundary(self):
         # sample count large enough to force several chunks per worker

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from critprob.rngstream import unit_block, unit_planes
+from critprob.rngstream import counters, fill_units, stream_keys, unit_block, unit_planes
 
 
 class TestUnitBlock:
@@ -38,6 +38,18 @@ class TestUnitBlock:
     def test_planes_are_distinct(self):
         u = unit_block(seed=9, pixels=np.arange(2), planes=2, n=32)
         assert not np.array_equal(u[:, 0, :], u[:, 1, :])
+
+    def test_fill_units_matches_block_slice(self):
+        # the in-place fill used by tiled kernels, on a slice of pixels
+        # and one plane, reproduces that slice of the block
+        px = np.arange(3, 40)
+        blk = unit_block(seed=21, pixels=px, planes=3, n=50)
+        keys = stream_keys(21, px, 3)
+        assert np.array_equal(stream_keys(21, px[10:15], 3), keys[10:15])
+        out = np.empty((5, 50))
+        scratch = np.empty((2, 5, 50), dtype=np.uint64)
+        fill_units(keys[10:15, 2], counters(50), out, scratch)
+        assert np.array_equal(out, blk[10:15, 2])
 
     def test_unit_planes_matches_block(self):
         u = unit_planes(seed=11, pixel=42, planes=3, n=20)
