@@ -142,7 +142,7 @@ def _run_from_scalar(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         parser.error("--eb must be nonnegative")
     estimator = _validated_estimator(args, parser)
     values = field_io.load_scalar_field(args.input)
-    field = field_io.uniform_field_from_scalar(values, args.eb)
+    field = UncertainField.from_scalar(values, args.eb)
     prob = classify_field(field, estimator, workers=args.workers)
     _write_outputs(prob, args)
     return 0

@@ -64,12 +64,11 @@ class Support:
 #
 # Each kernel turns uniform [0, 1) planes into draws written to ``out``
 # and may overwrite its uniform inputs.  Parameters broadcast against the
-# planes: scalars or (1, 1) arrays for one distribution, (pixels, 1)
-# columns for a tile of grid pixels.  The grid Monte Carlo path and the
-# per-case samplers run these same floating-point operations, so their
-# draws agree bit for bit.  The uniform and Gaussian kernels allocate
-# nothing; the others allocate only their boundary masks and, for
-# histograms, per-draw bin lookups.
+# planes: scalars, or (pixels, 1) columns with one row per distribution.
+# Grid pixels and single distributions run these same floating-point
+# operations, so their draws agree bit for bit.  The uniform and Gaussian
+# kernels allocate nothing; the others allocate only their boundary masks
+# and, for histograms, per-draw bin lookups.
 
 def uniform_icdf(lo, hi, u, out):
     """(1 - u) * lo + u * hi."""
@@ -156,6 +155,37 @@ def histogram_cdf_values(lo, binw, weights, cum, x, out):
     out *= wj
     out += cw
     return np.clip(out, 0.0, 1.0, out=out)
+
+
+def histogram_table(lo, hi, weights):
+    """Equal-width histograms as the kernels above take them.
+
+    ``lo`` and ``hi`` are (P,) support bounds and ``weights`` the (P, h)
+    bin masses, already normalized: they are used as given.  Returns the
+    (P, 1) columns ``lo`` and bin width, the weights, and their (P, h + 1)
+    prefix sums from 0, whose last entry is set to exactly 1 however the
+    sum rounds.
+    """
+    h = weights.shape[1]
+    cum = np.zeros((weights.shape[0], h + 1))
+    np.cumsum(weights, axis=1, out=cum[:, 1:])
+    cum[:, -1] = 1.0
+    return lo[:, None], ((hi - lo) / h)[:, None], weights, cum
+
+
+def icdf_sampler(kind: str, lo, hi, weights):
+    """Inverse-CDF kernel of a bounded kind and its parameter columns.
+
+    ``lo`` and ``hi`` are (P,) support bounds, ``weights`` the (P, h)
+    normalized bin masses of histograms (None otherwise).  The kernel is
+    called as ``kernel(*params, u, out)`` on (P, n) planes.
+    """
+    if kind == "histogram":
+        return histogram_icdf, histogram_table(lo, hi, weights)
+    lo, hi = lo[:, None], hi[:, None]
+    if kind == "uniform":
+        return uniform_icdf, (lo, hi)
+    return epanechnikov_icdf, (0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
 # -- distribution objects ------------------------------------------------
@@ -275,31 +305,22 @@ class FiniteDistribution:
 
     # -- sampling -----------------------------------------------------------
 
+    def sampler(self):
+        """Inverse-CDF kernel and its one-row parameters (see ``icdf_sampler``)."""
+        weights = None if self.bin_weights is None else self.bin_weights[None, :]
+        return icdf_sampler(
+            self.kind, np.array([self.support.lo]), np.array([self.support.hi]), weights
+        )
+
     def sample_u01(self, u):
         """Inverse-CDF transform of uniform [0, 1] draws ``u``."""
         arr = np.asarray(u, dtype=float)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError("u must lie in [0, 1]")
-        scalar = arr.ndim == 0
-        lo, hi = self.support.lo, self.support.hi
-        work, out = arr.copy(), np.empty(arr.shape)
-        if self.kind == "uniform":
-            uniform_icdf(lo, hi, work, out)
-        elif self.kind == "epanechnikov":
-            epanechnikov_icdf(0.5 * (lo + hi), 0.5 * (hi - lo), work, out)
-        else:
-            w = self.bin_weights
-            cum = np.concatenate(([0.0], np.cumsum(w)))
-            cum[-1] = 1.0
-            histogram_icdf(
-                np.array([[lo]]),
-                np.array([[(hi - lo) / w.size]]),
-                w[None, :],
-                cum[None, :],
-                work.reshape(1, -1),
-                out.reshape(1, -1),
-            )
-        return float(out) if scalar else out
+        kernel, params = self.sampler()
+        out = np.empty((1, arr.size))
+        kernel(*params, arr.reshape(1, -1).copy(), out)
+        return float(out[0, 0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -324,10 +345,12 @@ class GaussianSampler:
         return GaussianSampler(alpha * self.mean + beta, alpha * self.stddev)
 
     def sample_u01(self, u):
-        """Box-Muller transform of a (2, n) block of uniform draws."""
+        """Box-Muller transform of a (..., 2, n) block of uniform [0, 1) draws."""
         u = np.asarray(u, dtype=float)
-        if u.ndim < 1 or u.shape[-2] != 2:
+        if u.ndim < 2 or u.shape[-2] != 2:
             raise ValueError("Gaussian draws need two uniform planes")
+        if np.any(u < 0.0) or np.any(u >= 1.0):
+            raise ValueError("u must lie in [0, 1)")
         u2 = u[..., 1, :].copy()
         return box_muller(self.mean, self.stddev, u[..., 0, :], u2, np.empty(u2.shape))
 

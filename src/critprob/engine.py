@@ -27,11 +27,16 @@ never depends on how pixels are chunked, so results are identical for
 any worker count.
 
 The Monte Carlo and semianalytical estimators walk each chunk in tiles
-of ``max(1, TILE_DRAWS // n)`` pixels for ``n`` draws per pixel.  Every
-tile fills the same buffers in place (counter-based uniform draws keyed
-by pixel, the inverse-CDF transform, the pattern flags), so their
-memory is set by the tile, not by the chunk, and stays in cache.  Draws
-and counts are per pixel, so tiles change no result.
+of ``max(1, TILE_DRAWS // n)`` pixels for ``n`` draws per pixel; Monte
+Carlo also splits a pixel's draws into tiles of ``TILE_DRAWS`` when
+``n`` is larger.  Every tile fills the same buffers in place
+(counter-based uniform draws keyed by pixel, the inverse-CDF transform,
+the pattern flags), so their memory is set by the tile, not by the
+chunk or the draw count, and stays in cache.  Draws and counts are per
+pixel, so tiles change no result.  The single-case estimators
+(``mc_all_patterns``, ``semianalytical_prob``) run the same kernels on
+a batch of one pixel, so a case and its grid pixel give identical
+results.
 """
 
 from __future__ import annotations
@@ -46,11 +51,11 @@ import numpy as np
 from . import rngstream
 from .distributions import (
     FiniteDistribution,
+    GaussianSampler,
     box_muller,
-    epanechnikov_icdf,
     histogram_cdf_values,
-    histogram_icdf,
-    uniform_icdf,
+    histogram_table,
+    icdf_sampler,
 )
 from .fields import CHANNELS, ProbabilityField, UncertainField
 from .piecewise import gauss_legendre_nodes, refine_and_multiply
@@ -217,7 +222,7 @@ def _fold(ufunc, arrays, out: np.ndarray) -> np.ndarray:
 
 
 def _pattern_stats(xs, patterns, scratch: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Fractions of joint draws matching each pattern.
+    """Counts of joint draws matching each pattern.
 
     ``xs`` holds draws for center then neighbors; arrays may carry a
     leading pixel axis.  Comparisons are strict, so ties count against
@@ -236,12 +241,11 @@ def _pattern_stats(xs, patterns, scratch: np.ndarray | None = None) -> dict[str,
     if "max" in patterns or "saddle" in patterns:
         for i in range(k):
             np.greater(c, nbrs[i], out=above[i])
-    n = c.shape[-1]
     out = {}
     if "min" in patterns:
-        out["min"] = np.count_nonzero(_fold(np.logical_and, below, acc[0]), axis=-1) / n
+        out["min"] = np.count_nonzero(_fold(np.logical_and, below, acc[0]), axis=-1)
     if "max" in patterns:
-        out["max"] = np.count_nonzero(_fold(np.logical_and, above, acc[0]), axis=-1) / n
+        out["max"] = np.count_nonzero(_fold(np.logical_and, above, acc[0]), axis=-1)
     if "saddle" in patterns:
         # below the first neighbor of each axis pair (east, west) and
         # above the second (north, south), or the reverse
@@ -249,49 +253,31 @@ def _pattern_stats(xs, patterns, scratch: np.ndarray | None = None) -> dict[str,
         second = [above[i] if i % 2 == 0 else below[i] for i in range(k)]
         either = _fold(np.logical_and, first, acc[0])
         either |= _fold(np.logical_and, second, acc[1])
-        out["saddle"] = np.count_nonzero(either, axis=-1) / n
+        out["saddle"] = np.count_nonzero(either, axis=-1)
     return out
 
 
-def _case_draws(case: NeighborhoodCase, n: int, seed: int, pixel: int) -> list[np.ndarray]:
-    dists = (case.center, *case.neighbors)
-    planes = sum(d.u01_planes for d in dists)
-    u = rngstream.unit_planes(seed, pixel, planes, n)
-    xs = []
-    offset = 0
-    for d in dists:
-        k = d.u01_planes
-        xs.append(d.sample_u01(u[offset] if k == 1 else u[offset : offset + k]))
-        offset += k
-    return xs
+def _case_sampler(d):
+    """Sampler of one distribution as a one-pixel batch (see ``_sampler``)."""
+    if isinstance(d, GaussianSampler):
+        return 2, box_muller, (np.array([[d.mean]]), np.array([[d.stddev]]))
+    return 1, *d.sampler()
 
 
 def mc_all_patterns(
     case: NeighborhoodCase, n: int, seed: int = 0, pixel: int = 0
 ) -> ProbabilityTriple:
-    """All three pattern fractions from one set of joint draws."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    stats = _pattern_stats(_case_draws(case, n, seed, pixel), PATTERNS)
-    return ProbabilityTriple(
-        float(stats["min"]), float(stats["max"]), float(stats["saddle"])
-    )
+    """Monte Carlo pattern fractions over n joint inverse-CDF draws.
 
-
-def mc_pattern_prob(
-    case: NeighborhoodCase, pattern: str, n: int, seed: int = 0, pixel: int = 0
-) -> float:
-    """Monte Carlo pattern fraction over n joint inverse-CDF draws.
-
-    Deterministic for a given (seed, pixel) key.  The standard error is
-    at most 0.5 / sqrt(n).
+    All three patterns come from one set of draws, which is deterministic
+    for a given (seed, pixel) key and equals the grid's draws for that
+    pixel.  The standard error is at most 0.5 / sqrt(n).
     """
-    if pattern not in PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}")
     if n < 1:
         raise ValueError("n must be positive")
-    stats = _pattern_stats(_case_draws(case, n, seed, pixel), (pattern,))
-    return float(stats[pattern])
+    samplers = [_case_sampler(d) for d in (case.center, *case.neighbors)]
+    stats = _mc_chunk(samplers, np.array([pixel], dtype=np.uint64), n, seed, PATTERNS)
+    return ProbabilityTriple(*(float(stats[p][0]) for p in PATTERNS))
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +327,12 @@ def _uniform_kernel_term(a1, b1, above_intervals, below_intervals) -> float:
     return total
 
 
-def _histogram_grid(d: FiniteDistribution) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = d.support.lo, d.support.hi
-    h = d.bin_weights.size
-    edges = lo + (hi - lo) * np.arange(h + 1) / h
-    return edges, d.bin_weights
+def _histogram_grid(lo, hi, weights) -> tuple[np.ndarray, np.ndarray]:
+    h = weights.size
+    return lo + (hi - lo) * np.arange(h + 1) / h, weights
 
 
-def _combinatorial_pattern(case: NeighborhoodCase, pattern: str) -> float:
+def _case_grids(case: NeighborhoodCase) -> list:
     _require_histograms(case)
     dists = (case.center, *case.neighbors)
     for d in dists:
@@ -357,16 +341,26 @@ def _combinatorial_pattern(case: NeighborhoodCase, pattern: str) -> float:
                 f"combinatorial cost grows as bins**{len(dists)}; "
                 f"refusing more than {COMBINATORIAL_MAX_BINS} bins"
             )
-    grids = [_histogram_grid(d) for d in dists]
-    k = len(case.neighbors)
+    return [_histogram_grid(d.support.lo, d.support.hi, d.bin_weights) for d in dists]
+
+
+def _combinatorial_pattern(grids, pattern: str) -> float:
+    """One pattern's probability summed over all bin combinations.
+
+    ``grids`` holds (bin edges, weights) per position, center first.
+    Each term lists the neighbors the center must fall below and those
+    it must fall above; a saddle is the sum of its two alternating terms.
+    """
+    nbrs = list(range(1, len(grids)))
     if pattern == "min":
-        above = list(range(1, k + 1))
-        below = []
+        terms = [(nbrs, [])]
     elif pattern == "max":
-        above = []
-        below = list(range(1, k + 1))
+        terms = [([], nbrs)]
     else:
-        raise ValueError("combinatorial terms handle 'min' or 'max' directly")
+        # below the first neighbor of each axis pair and above the second,
+        # or the reverse
+        first, second = nbrs[0::2], nbrs[1::2]
+        terms = [(first, second), (second, first)]
     total = 0.0
     for combo in itertools.product(*(range(w.size) for _, w in grids)):
         wprod = 1.0
@@ -374,15 +368,13 @@ def _combinatorial_pattern(case: NeighborhoodCase, pattern: str) -> float:
             wprod *= w[j]
         if wprod == 0.0:
             continue
-        intervals = [
-            (grids[i][0][combo[i]], grids[i][0][combo[i] + 1]) for i in range(len(dists))
-        ]
+        intervals = [(edges[j], edges[j + 1]) for (edges, _), j in zip(grids, combo)]
         a1, b1 = intervals[0]
-        total += wprod * _uniform_kernel_term(
-            a1,
-            b1,
-            [intervals[i] for i in above],
-            [intervals[i] for i in below],
+        total += wprod * sum(
+            _uniform_kernel_term(
+                a1, b1, [intervals[i] for i in above], [intervals[i] for i in below]
+            )
+            for above, below in terms
         )
     return total
 
@@ -396,52 +388,12 @@ def histogram_min_prob_combinatorial(case: NeighborhoodCase) -> float:
     serves as a cross-check for the factorized product integral rather
     than as a production path.
     """
-    return _combinatorial_pattern(case, "min")
-
-
-def _combinatorial_saddle(case: NeighborhoodCase) -> float:
-    _require_histograms(case)
-    dists = (case.center, *case.neighbors)
-    grids = [_histogram_grid(d) for d in dists]
-    if len(case.neighbors) == 2:
-        above_idx, below_idx = (1,), (2,)
-    else:
-        above_idx, below_idx = (1, 3), (2, 4)
-    total = 0.0
-    for combo in itertools.product(*(range(w.size) for _, w in grids)):
-        wprod = 1.0
-        for (_, w), j in zip(grids, combo):
-            wprod *= w[j]
-        if wprod == 0.0:
-            continue
-        intervals = [
-            (grids[i][0][combo[i]], grids[i][0][combo[i] + 1]) for i in range(len(dists))
-        ]
-        a1, b1 = intervals[0]
-        above = [intervals[i] for i in above_idx]
-        below = [intervals[i] for i in below_idx]
-        total += wprod * (
-            _uniform_kernel_term(a1, b1, above, below)
-            + _uniform_kernel_term(a1, b1, below, above)
-        )
-    return total
+    return _combinatorial_pattern(_case_grids(case), "min")
 
 
 def combinatorial_triple(case: NeighborhoodCase) -> ProbabilityTriple:
-    return ProbabilityTriple(
-        _combinatorial_pattern(case, "min"),
-        _combinatorial_pattern(case, "max"),
-        _combinatorial_saddle(case),
-    )
-
-
-def _hist_arrays(d: FiniteDistribution):
-    # bin_weights are already normalized at construction; renormalizing
-    # here would shift the grid path and the per-case path apart by one ulp
-    w = d.bin_weights
-    cum = np.concatenate(([0.0], np.cumsum(w)))
-    lo, hi = d.support.lo, d.support.hi
-    return lo, (hi - lo) / w.size, w, cum
+    grids = _case_grids(case)
+    return ProbabilityTriple(*(_combinatorial_pattern(grids, p) for p in PATTERNS))
 
 
 def semianalytical_prob(
@@ -459,16 +411,9 @@ def semianalytical_prob(
     if c < 1:
         raise ValueError("c must be positive")
     _require_histograms(case)
-    u = rngstream.unit_planes(seed, pixel, 1, c)
-    x = case.center.sample_u01(u[0]).reshape(1, -1)
-    cdf = np.empty((len(case.neighbors),) + x.shape)
-    for d, f in zip(case.neighbors, cdf):
-        lo, binw, wn, cum = _hist_arrays(d)
-        histogram_cdf_values(
-            np.array([[lo]]), np.array([[binw]]), wn[None, :], cum[None, :], x, f
-        )
-    terms = np.empty((2,) + x.shape)
-    return float(_conditional_pattern(cdf, 1.0 - cdf, pattern, terms).mean())
+    samplers = [_case_sampler(d) for d in (case.center, *case.neighbors)]
+    stats = _semi_chunk(samplers, np.array([pixel], dtype=np.uint64), c, seed, (pattern,))
+    return float(stats[pattern][0])
 
 
 def _conditional_pattern(cdf, sf, pattern: str, out: np.ndarray) -> np.ndarray:
@@ -528,7 +473,13 @@ def _stencil_views(arr: np.ndarray) -> list[np.ndarray]:
 
 
 def _position_params(field: UncertainField) -> list[dict[str, np.ndarray]]:
-    views = {name: _stencil_views(arr) for name, arr in field.params.items()}
+    params = dict(field.params)
+    if "weights" in params:
+        # normalized once here, as FiniteDistribution does; the kernels'
+        # histogram tables use the weights as given
+        w = params["weights"]
+        params["weights"] = w / w.sum(axis=-1, keepdims=True)
+    views = {name: _stencil_views(arr) for name, arr in params.items()}
     return [{name: views[name][pos] for name in views} for pos in range(5)]
 
 
@@ -536,18 +487,6 @@ def _support_bounds(kind: str, p: dict[str, np.ndarray]):
     if kind == "epanechnikov":
         return p["mean"] - p["halfwidth"], p["mean"] + p["halfwidth"]
     return p["lo"], p["hi"]
-
-
-def _hist_prep(p: dict[str, np.ndarray]):
-    """Histogram parameters as (lo, bin width, weights, cumulative weights).
-
-    Weights are renormalized per pixel; the cumulative array is their
-    (pixels, bins + 1) prefix sum starting at 0.
-    """
-    w = p["weights"]
-    wn = w / w.sum(axis=1, keepdims=True)
-    cum = np.concatenate((np.zeros((w.shape[0], 1)), np.cumsum(wn, axis=1)), axis=1)
-    return p["lo"], (p["hi"] - p["lo"]) / w.shape[1], wn, cum
 
 
 def _centered(kind: str, pos):
@@ -584,7 +523,7 @@ def _closed_kinks(kind: str, pos) -> np.ndarray:
 
 def _bin_index(lo, binw, bins: int, x) -> np.ndarray:
     """Histogram bin holding each point of ``x`` (pixels, intervals)."""
-    j = np.floor((x - lo[:, None]) / binw[:, None]).astype(np.intp)
+    j = np.floor((x - lo) / binw).astype(np.intp)
     return np.clip(j, 0, bins - 1, out=j)
 
 
@@ -602,9 +541,9 @@ def _center_pdf(kind: str, p, mid, half, xi) -> np.ndarray:
     if kind == "uniform":
         return (1.0 / (p["hi"] - p["lo"]))[:, None]
     if kind == "histogram":
-        lo, binw, wn, _ = _hist_prep(p)
+        lo, binw, wn, _ = histogram_table(p["lo"], p["hi"], p["weights"])
         j = _bin_index(lo, binw, wn.shape[1], mid)
-        return np.take_along_axis(wn, j, axis=1) / binw[:, None]
+        return np.take_along_axis(wn, j, axis=1) / binw
     hw = p["halfwidth"][:, None]
     u = _at_nodes((mid - p["mean"][:, None]) / hw, half / hw, xi)
     return 0.75 / hw * (1.0 - u * u)
@@ -629,10 +568,10 @@ def _node_cdf(kind: str, p, mid, half, xi) -> np.ndarray:
         slope = (1.0 / (hi - lo))[:, None]
         at_mid = slope * (mid - lo[:, None])
     else:
-        lo, binw, wn, cum = _hist_prep(p)
+        lo, binw, wn, cum = histogram_table(lo, hi, p["weights"])
         j = _bin_index(lo, binw, wn.shape[1], mid)
-        slope = np.take_along_axis(wn, j, axis=1) / binw[:, None]
-        edge = lo[:, None] + binw[:, None] * j
+        slope = np.take_along_axis(wn, j, axis=1) / binw
+        edge = lo + binw * j
         at_mid = np.take_along_axis(cum, j, axis=1) + slope * (mid - edge)
     return _at_nodes(np.clip(at_mid, 0.0, 1.0), np.where(inside, slope * half, 0.0), xi)
 
@@ -695,73 +634,79 @@ TILE_DRAWS = 32768
 
 def _tiles(npix: int, n: int):
     """Tile size and pixel slices for ``n`` draws per pixel."""
-    size = max(1, TILE_DRAWS // n)
+    size = min(npix, max(1, TILE_DRAWS // n))
     return size, [slice(s, min(s + size, npix)) for s in range(0, npix, size)]
 
 
 def _sampler(kind: str, p: dict[str, np.ndarray]):
-    """Sampling kernel for one stencil position and its per-pixel parameters.
+    """Uniform planes, sampling kernel and parameters of one stencil position.
 
     Parameters are (pixels, 1) columns or (pixels, bins) tables, so a
-    tile slices them by rows.  These are the values the per-case
-    samplers pass, so grid draws match single-case draws bit for bit.
+    tile slices them by rows; a histogram's are the tables
+    ``histogram_cdf_values`` takes.  ``_case_sampler`` builds the same
+    values from a distribution object, so grid draws match single-case
+    draws bit for bit.
     """
     if kind == "gaussian":
-        return box_muller, (p["mean"][:, None], p["stddev"][:, None])
-    if kind == "uniform":
-        return uniform_icdf, (p["lo"][:, None], p["hi"][:, None])
-    if kind == "epanechnikov":
-        lo = p["mean"] - p["halfwidth"]
-        hi = p["mean"] + p["halfwidth"]
-        return epanechnikov_icdf, ((0.5 * (lo + hi))[:, None], (0.5 * (hi - lo))[:, None])
-    lo, binw, wn, cum = _hist_prep(p)
-    cum[:, -1] = 1.0
-    return histogram_icdf, (lo[:, None], binw[:, None], wn, cum)
+        return 2, box_muller, (p["mean"][:, None], p["stddev"][:, None])
+    return 1, *icdf_sampler(kind, *_support_bounds(kind, p), p.get("weights"))
 
 
-def _mc_chunk(kind, pos, px_idx, n, seed, channels) -> dict[str, np.ndarray]:
-    """Monte Carlo fractions of a pixel chunk, one small tile at a time.
+def _mc_chunk(samplers, px_idx, n, seed, channels) -> dict[str, np.ndarray]:
+    """Monte Carlo fractions of a pixel batch, one small tile at a time.
 
-    Every tile reuses the same buffers: its uniform planes, the draws of
-    the five positions and the pattern flags.
+    ``samplers`` holds one ``_sampler`` triple per stencil position,
+    center first; their uniform planes are consecutive streams of each
+    pixel's key.  A pixel's draws are split into tiles of ``TILE_DRAWS``
+    when there are more.  Every tile reuses the same buffers: its
+    uniform planes, the draws of each position and the pattern flags.
+    Pattern counts are integers, summed over the draw tiles and divided
+    by ``n`` once, so the split changes no result.
     """
-    per = 2 if kind == "gaussian" else 1
-    samplers = [_sampler(kind, p) for p in pos]
-    keys = rngstream.stream_keys(seed, px_idx, 5 * per)
-    ctr = rngstream.counters(n)
+    planes = [per for per, _, _ in samplers]
+    first = np.cumsum([0] + planes)
+    keys = rngstream.stream_keys(seed, px_idx, int(first[-1]))
+    width = min(n, TILE_DRAWS)
     size, tiles = _tiles(px_idx.size, n)
-    scratch = np.empty((2, size, n), dtype=np.uint64)
-    u = np.empty((per, size, n))
-    xs = np.empty((5, size, n))
-    flags = np.empty((10, size, n), dtype=bool)
-    out = {ch: np.empty(px_idx.size) for ch in channels}
-    for sl in tiles:
-        k = sl.stop - sl.start
-        for i, (kernel, params) in enumerate(samplers):
-            for q in range(per):
-                rngstream.fill_units(keys[sl, i * per + q], ctr, u[q, :k], scratch[:, :k])
-            kernel(*(a[sl] for a in params), *u[:, :k], xs[i, :k])
-        stats = _pattern_stats(xs[:, :k], channels, flags[:, :k])
-        for ch in channels:
-            out[ch][sl] = stats[ch]
-    return out
+    scratch = np.empty((2, size, width), dtype=np.uint64)
+    u = np.empty((max(planes), size, width))
+    xs = np.empty((len(samplers), size, width))
+    flags = np.empty((2 * len(samplers), size, width), dtype=bool)
+    counts = {ch: np.zeros(px_idx.size, dtype=np.int64) for ch in channels}
+    for start in range(0, n, width):
+        ctr = rngstream.counters(start, min(start + width, n))
+        m = ctr.size
+        for sl in tiles:
+            k = sl.stop - sl.start
+            for i, (per, kernel, params) in enumerate(samplers):
+                for q in range(per):
+                    rngstream.fill_units(
+                        keys[sl, first[i] + q], ctr, u[q, :k, :m], scratch[:, :k, :m]
+                    )
+                kernel(*(a[sl] for a in params), *u[:per, :k, :m], xs[i, :k, :m])
+            stats = _pattern_stats(xs[:, :k, :m], channels, flags[:, :k, :m])
+            for ch in channels:
+                counts[ch][sl] += stats[ch]
+    return {ch: counts[ch] / n for ch in channels}
 
 
-def _semi_chunk(pos, px_idx, c, seed, channels) -> dict[str, np.ndarray]:
-    """Semianalytical estimates of a pixel chunk through the same tile loop."""
-    kernel, center = _sampler("histogram", pos[0])
-    nbrs = []
-    for p in pos[1:]:
-        lo, binw, wn, cum = _hist_prep(p)
-        nbrs.append((lo[:, None], binw[:, None], wn, cum))
+def _semi_chunk(samplers, px_idx, c, seed, channels) -> dict[str, np.ndarray]:
+    """Semianalytical estimates of a pixel batch through the same tile loop.
+
+    ``samplers`` are histogram ``_sampler`` triples, center first; the
+    neighbors' parameters are their CDF tables.  A pixel's c draws stay
+    in one tile, so each mean keeps its summation order.
+    """
+    _, kernel, center = samplers[0]
+    nbrs = [params for _, _, params in samplers[1:]]
     keys = rngstream.stream_keys(seed, px_idx, 1)[:, 0]
-    ctr = rngstream.counters(c)
+    ctr = rngstream.counters(0, c)
     size, tiles = _tiles(px_idx.size, c)
     scratch = np.empty((2, size, c), dtype=np.uint64)
     u = np.empty((size, c))
     x = np.empty((size, c))
-    cdf = np.empty((4, size, c))
-    sf = np.empty((4, size, c))
+    cdf = np.empty((len(nbrs), size, c))
+    sf = np.empty((len(nbrs), size, c))
     terms = np.empty((2, size, c))
     out = {ch: np.empty(px_idx.size) for ch in channels}
     for sl in tiles:
@@ -778,21 +723,12 @@ def _semi_chunk(pos, px_idx, c, seed, channels) -> dict[str, np.ndarray]:
 
 
 def _comb_chunk(pos, channels) -> dict[str, np.ndarray]:
-    from . import distributions as dist
-
     m = pos[0]["lo"].shape[0]
     out = {ch: np.zeros(m) for ch in channels}
     for i in range(m):
-        dists = [
-            dist.histogram(p["lo"][i], p["hi"][i], p["weights"][i]) for p in pos
-        ]
-        case = NeighborhoodCase(dists[0], tuple(dists[1:]))
-        if "min" in channels:
-            out["min"][i] = _combinatorial_pattern(case, "min")
-        if "max" in channels:
-            out["max"][i] = _combinatorial_pattern(case, "max")
-        if "saddle" in channels:
-            out["saddle"][i] = _combinatorial_saddle(case)
+        grids = [_histogram_grid(p["lo"][i], p["hi"][i], p["weights"][i]) for p in pos]
+        for ch in channels:
+            out[ch][i] = _combinatorial_pattern(grids, ch)
     return out
 
 
@@ -800,11 +736,12 @@ def _chunk_task(payload) -> dict[str, np.ndarray]:
     method, kind, pos, px_idx, estimator, channels = payload
     if method == "closed_form":
         return _closed_chunk(kind, pos, channels)
+    if method == "combinatorial":
+        return _comb_chunk(pos, channels)
+    samplers = [_sampler(kind, p) for p in pos]
     if method == "monte_carlo":
-        return _mc_chunk(kind, pos, px_idx, estimator.n_samples, estimator.seed, channels)
-    if method == "semianalytical":
-        return _semi_chunk(pos, px_idx, estimator.c, estimator.seed, channels)
-    return _comb_chunk(pos, channels)
+        return _mc_chunk(samplers, px_idx, estimator.n_samples, estimator.seed, channels)
+    return _semi_chunk(samplers, px_idx, estimator.c, estimator.seed, channels)
 
 
 def classify_field(

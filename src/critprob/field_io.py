@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .fields import CHANNELS, EnsembleStack, ProbabilityField, UncertainField
+from .fields import CHANNELS, EnsembleStack, ProbabilityField
 
 UCVF_MAGIC = "UCVF1"
 
@@ -149,11 +149,6 @@ def export_heatmap(field: ProbabilityField, channel: str, path, gamma: float = 1
     with open(path, "wb") as fh:
         fh.write(f"P5 {width} {height} 255\n".encode("ascii"))
         fh.write(gray.astype(np.uint8).tobytes())
-
-
-def uniform_field_from_scalar(values: np.ndarray, error_bound: float) -> UncertainField:
-    """Per-pixel uniform model on [v - eb/2, v + eb/2]."""
-    return UncertainField.from_scalar(values, error_bound)
 
 
 def save_scalar_field(values: np.ndarray, path) -> None:

@@ -59,9 +59,9 @@ def stream_keys(seed: int, pixels, planes: int) -> np.ndarray:
         return _mixed(per_pixel[:, None] ^ (plane_ids[None, :] * _PLANE_SALT))
 
 
-def counters(n: int) -> np.ndarray:
-    """Keyed-counter offsets of sample indices 0 .. n - 1."""
-    return (np.arange(n, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+def counters(start: int, stop: int) -> np.ndarray:
+    """Keyed-counter offsets of sample indices start .. stop - 1."""
+    return (np.arange(start, stop, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
 
 
 def fill_units(keys: np.ndarray, ctr: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -86,14 +86,10 @@ def unit_block(seed: int, pixels, planes: int, n: int) -> np.ndarray:
     (seed, pixel, plane, i) never depend on the rest of the block.
     """
     keys = stream_keys(seed, pixels, planes)
-    ctr = counters(n)
+    ctr = counters(0, n)
     out = np.empty(keys.shape + (n,))
     scratch = np.empty((2, keys.shape[0], n), dtype=np.uint64)
     for q in range(planes):
         fill_units(keys[:, q], ctr, out[:, q], scratch)
     return out
 
-
-def unit_planes(seed: int, pixel: int, planes: int, n: int) -> np.ndarray:
-    """Uniform [0, 1) draws of shape (planes, n) for a single pixel key."""
-    return unit_block(seed, np.asarray([pixel], dtype=np.uint64), planes, n)[0]

@@ -165,7 +165,7 @@ class TestFromScalar:
         assert code == 0
         loaded = load_probability_field(str(out), format="csv")
         direct = classify_field(
-            field_io.uniform_field_from_scalar(field_io.load_scalar_field(str(src)), 0.4),
+            UncertainField.from_scalar(field_io.load_scalar_field(str(src)), 0.4),
             EstimatorSpec("closed_form"),
             workers=1,
         )

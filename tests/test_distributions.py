@@ -414,3 +414,14 @@ class TestGaussianSampler:
         g = GaussianSampler(0.0, 1.0)
         with pytest.raises(ValueError):
             g.sample_u01(np.zeros((3, 5)))
+
+    def test_needs_a_plane_axis(self):
+        with pytest.raises(ValueError):
+            GaussianSampler(0.0, 1.0).sample_u01(np.zeros(5))
+
+    def test_draws_must_lie_below_one(self):
+        # u1 = 1 would give an infinite radius, log1p(-1)
+        with pytest.raises(ValueError):
+            GaussianSampler(0.0, 1.0).sample_u01([[0.5, 1.0], [0.2, 0.3]])
+        with pytest.raises(ValueError):
+            GaussianSampler(0.0, 1.0).sample_u01([[0.5, -0.1], [0.2, 0.3]])

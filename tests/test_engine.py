@@ -1,6 +1,7 @@
 """Tests for the critical-point probability engine."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from critprob.distributions import (
     GaussianSampler,
     epanechnikov,
     histogram,
+    histogram_cdf_values,
+    histogram_table,
     uniform,
 )
 from critprob import engine
@@ -30,12 +33,12 @@ from critprob.engine import (
     local_max_prob,
     local_min_prob,
     mc_all_patterns,
-    mc_pattern_prob,
     pixel_index,
     saddle_prob,
     semianalytical_prob,
 )
 from critprob.fields import EnsembleStack, ModelSpec, UncertainField
+from critprob.rngstream import unit_block
 from critprob.synth import random_case
 
 
@@ -322,43 +325,101 @@ class TestStructuralProperties:
         assert trip.total == pytest.approx(0.6)
 
 
+def layout_draws(case, n, seed, pixel):
+    """A case's joint draws, rebuilt as the stream layout defines them.
+
+    Each distribution's ``sample_u01`` runs on its consecutive planes of
+    the pixel's ``unit_block``.
+    """
+    dists = (case.center, *case.neighbors)
+    u = unit_block(seed, np.array([pixel]), sum(d.u01_planes for d in dists), n)[0]
+    xs, first = [], 0
+    for d in dists:
+        k = d.u01_planes
+        xs.append(d.sample_u01(u[first] if k == 1 else u[first : first + k]))
+        first += k
+    return xs
+
+
 class TestMonteCarlo:
     def test_seed_determinism(self):
         case = random_case(seed=1, model="epanechnikov")
-        a = mc_pattern_prob(case, "min", 5000, seed=3, pixel=9)
-        b = mc_pattern_prob(case, "min", 5000, seed=3, pixel=9)
+        a = mc_all_patterns(case, 5000, seed=3, pixel=9)
+        b = mc_all_patterns(case, 5000, seed=3, pixel=9)
         assert a == b
 
     def test_seed_and_pixel_change_stream(self):
         case = random_case(seed=1, model="uniform")
-        base = mc_pattern_prob(case, "min", 20000, seed=0, pixel=0)
-        assert mc_pattern_prob(case, "min", 20000, seed=1, pixel=0) != base
-        assert mc_pattern_prob(case, "min", 20000, seed=0, pixel=1) != base
+        base = mc_all_patterns(case, 20000, seed=0, pixel=0).p_min
+        assert mc_all_patterns(case, 20000, seed=1, pixel=0).p_min != base
+        assert mc_all_patterns(case, 20000, seed=0, pixel=1).p_min != base
 
     def test_disjoint_min_is_exactly_one(self):
         case = NeighborhoodCase(
             uniform(0.0, 1.0), tuple(uniform(2.0, 3.0) for _ in range(4))
         )
         for n in (1, 10, 1000):
-            assert mc_pattern_prob(case, "min", n) == 1.0
+            assert mc_all_patterns(case, n).p_min == 1.0
 
     def test_five_iid_binomial_bound(self):
         case = iid_case(lambda: uniform(0.0, 1.0), 4)
-        p = mc_pattern_prob(case, "min", 10**6, seed=0)
+        p = mc_all_patterns(case, 10**6, seed=0).p_min
         assert abs(p - 0.2) <= 0.0013  # 3 sigma for p = 0.2 at n = 1e6
 
     def test_all_patterns_consistent_with_single(self):
+        # counting one pattern at a time skips comparisons the others need
         case = random_case(seed=5, model="histogram")
         trip = mc_all_patterns(case, 4000, seed=7, pixel=3)
+        xs = layout_draws(case, 4000, seed=7, pixel=3)
         for pattern, p in zip(PATTERNS, trip):
-            assert mc_pattern_prob(case, pattern, 4000, seed=7, pixel=3) == p
+            assert engine._pattern_stats(xs, (pattern,))[pattern] / 4000 == p
+
+    @pytest.mark.parametrize("n", [1, 333, 2 * engine.TILE_DRAWS + 7])
+    def test_draws_follow_stream_layout(self, n):
+        mixed = NeighborhoodCase(
+            uniform(-0.2, 0.9),
+            (
+                epanechnikov(0.1, 0.8),
+                histogram(-1.0, 1.0, [0.2, 0.0, 0.5, 0.3]),
+                uniform(-0.5, 0.5),
+                histogram(-0.4, 0.7, [1.0, 2.0]),
+            ),
+        )
+        gauss = NeighborhoodCase(
+            GaussianSampler(0.1, 0.5),
+            (
+                uniform(-0.5, 0.5),
+                GaussianSampler(-0.2, 0.3),
+                epanechnikov(0.0, 0.6),
+                histogram(-0.6, 0.4, [0.3, 0.3, 0.4]),
+            ),
+        )
+        two = NeighborhoodCase(
+            histogram(0.0, 1.0, [0.5, 0.5]), (uniform(0.2, 1.1), epanechnikov(0.4, 0.5))
+        )
+        for case in (mixed, gauss, two):
+            trip = mc_all_patterns(case, n, seed=4, pixel=31)
+            stats = engine._pattern_stats(layout_draws(case, n, seed=4, pixel=31), PATTERNS)
+            assert list(trip) == [stats[p] / n for p in PATTERNS]
+
+    @pytest.mark.parametrize("kind", ["uniform", "histogram"])
+    def test_memory_is_bounded_by_the_tile(self, kind):
+        case = random_case(seed=8, model=kind)
+        mc_all_patterns(case, 1000)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            mc_all_patterns(case, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_gaussian_case_runs(self):
         case = NeighborhoodCase(
             GaussianSampler(0.0, 1.0),
             tuple(GaussianSampler(0.0, 1.0) for _ in range(4)),
         )
-        p = mc_pattern_prob(case, "min", 10**5, seed=0)
+        p = mc_all_patterns(case, 10**5, seed=0).p_min
         assert abs(p - 0.2) <= 0.006
 
     def test_two_neighborhood_mc_sums_to_one(self):
@@ -369,11 +430,9 @@ class TestMonteCarlo:
     def test_invalid_arguments(self):
         case = random_case(seed=1, model="uniform")
         with pytest.raises(ValueError):
-            mc_pattern_prob(case, "min", 0)
-        with pytest.raises(ValueError):
-            mc_pattern_prob(case, "ridge", 10)
-        with pytest.raises(ValueError):
             mc_all_patterns(case, 0)
+        with pytest.raises(ValueError):
+            mc_all_patterns(case, -5)
 
 
 class TestCombinatorial:
@@ -477,6 +536,21 @@ class TestSemianalytical:
             for pattern, p in zip(PATTERNS, closed):
                 est = semianalytical_prob(case, pattern, c=20000, seed=i)
                 assert abs(est - p) <= 0.02
+
+    def test_two_neighborhood_matches_hand_computation(self):
+        case = random_case(seed=2400, model="histogram", neighborhood=2)
+        c = 900
+        x = case.center.sample_u01(unit_block(6, np.array([4]), 1, c)[0, 0])[None, :]
+        cdf = []
+        for d in case.neighbors:
+            table = histogram_table(
+                np.array([d.support.lo]), np.array([d.support.hi]), d.bin_weights[None, :]
+            )
+            cdf.append(histogram_cdf_values(*table, x, np.empty_like(x))[0])
+        (f1, f2), (s1, s2) = cdf, [1.0 - f for f in cdf]
+        want = {"min": s1 * s2, "max": f1 * f2, "saddle": s1 * f2 + f1 * s2}
+        for pattern in PATTERNS:
+            assert semianalytical_prob(case, pattern, c, seed=6, pixel=4) == want[pattern].mean()
 
     def test_non_histogram_rejected(self):
         case = random_case(seed=2200, model="epanechnikov")

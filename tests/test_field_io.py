@@ -15,7 +15,6 @@ from critprob.field_io import (
     save_ensemble,
     save_probability_field,
     save_scalar_field,
-    uniform_field_from_scalar,
 )
 from critprob.fields import EnsembleStack, ProbabilityField
 
@@ -254,10 +253,3 @@ class TestScalarField:
     def test_shape_validation(self, tmp_path):
         with pytest.raises(ValueError):
             save_scalar_field(np.zeros(5), tmp_path / "x.ucvf")
-
-    def test_uniform_field_from_scalar(self):
-        raster = np.array([[1.0, 2.0], [3.0, 4.0]])
-        field = uniform_field_from_scalar(raster, 0.2)
-        d = field.dist_at(1, 0)
-        assert d.support.lo == pytest.approx(2.9)
-        assert d.support.hi == pytest.approx(3.1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from critprob.rngstream import counters, fill_units, stream_keys, unit_block, unit_planes
+from critprob.rngstream import counters, fill_units, stream_keys, unit_block
 
 
 class TestUnitBlock:
@@ -48,13 +48,20 @@ class TestUnitBlock:
         assert np.array_equal(stream_keys(21, px[10:15], 3), keys[10:15])
         out = np.empty((5, 50))
         scratch = np.empty((2, 5, 50), dtype=np.uint64)
-        fill_units(keys[10:15, 2], counters(50), out, scratch)
+        fill_units(keys[10:15, 2], counters(0, 50), out, scratch)
         assert np.array_equal(out, blk[10:15, 2])
 
-    def test_unit_planes_matches_block(self):
-        u = unit_planes(seed=11, pixel=42, planes=3, n=20)
-        blk = unit_block(seed=11, pixels=np.array([42]), planes=3, n=20)
-        assert np.array_equal(u, blk[0])
+    def test_counter_range_matches_block_slice(self):
+        # draws split into sample ranges, as the Monte Carlo kernel does
+        # for large draw counts, are the same draws
+        px = np.array([42])
+        blk = unit_block(seed=11, pixels=px, planes=3, n=20)
+        keys = stream_keys(11, px, 3)
+        out = np.empty((1, 13))
+        scratch = np.empty((2, 1, 13), dtype=np.uint64)
+        for q in range(3):
+            fill_units(keys[:, q], counters(7, 20), out, scratch)
+            assert np.array_equal(out, blk[:, q, 7:])
 
     def test_uniform_marginals(self):
         u = unit_block(seed=13, pixels=np.arange(8), planes=1, n=4096).ravel()
@@ -66,6 +73,6 @@ class TestUnitBlock:
         assert counts.max() < 1.2 * u.size / 16
 
     def test_no_serial_correlation(self):
-        u = unit_planes(seed=15, pixel=0, planes=1, n=65536)[0]
+        u = unit_block(seed=15, pixels=np.array([0]), planes=1, n=65536)[0, 0]
         corr = np.corrcoef(u[:-1], u[1:])[0, 1]
         assert abs(corr) < 0.02
