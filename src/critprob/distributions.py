@@ -315,7 +315,7 @@ class FiniteDistribution:
     def sample_u01(self, u):
         """Inverse-CDF transform of uniform [0, 1] draws ``u``."""
         arr = np.asarray(u, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ValueError("u must lie in [0, 1]")
         kernel, params = self.sampler()
         out = np.empty((1, arr.size))
@@ -349,7 +349,7 @@ class GaussianSampler:
         u = np.asarray(u, dtype=float)
         if u.ndim < 2 or u.shape[-2] != 2:
             raise ValueError("Gaussian draws need two uniform planes")
-        if np.any(u < 0.0) or np.any(u >= 1.0):
+        if not np.all((u >= 0.0) & (u < 1.0)):
             raise ValueError("u must lie in [0, 1)")
         u2 = u[..., 1, :].copy()
         return box_muller(self.mean, self.stddev, u[..., 0, :], u2, np.empty(u2.shape))

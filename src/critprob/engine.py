@@ -37,13 +37,20 @@ pixel, so tiles change no result.  The single-case estimators
 (``mc_all_patterns``, ``semianalytical_prob``) run the same kernels on
 a batch of one pixel, so a case and its grid pixel give identical
 results.
+
+With more than one worker, closed-form chunks run on a thread pool:
+the kernel is a short run of vectorized numpy passes, which release the
+interpreter lock, and threads share the parameter arrays, where a
+process pool forks a worker and pickles every chunk.  The sampling and
+combinatorial estimators run on a process pool, because their tile and
+bin loops are Python code that holds the lock.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -755,7 +762,9 @@ def classify_field(
     The one-pixel border is marked invalid.  Work is split into pixel
     chunks; per-pixel math never crosses chunk boundaries and sample
     streams are keyed by pixel index, so the output is identical for
-    any ``workers`` value or chunk layout.
+    any ``workers`` value or chunk layout.  Raises ValueError if any
+    requested channel has a non-finite interior value, as it does when
+    a field's supports overflow float64.
     """
     estimator = estimator or EstimatorSpec()
     if isinstance(channels, str):
@@ -796,8 +805,9 @@ def classify_field(
         # Measured with perfbench on a 2-core x86 host (2 MiB L2 per core),
         # closed-grid wall_s / peak_rss_mib by cap: 4096 0.113 s / 117.7 MiB,
         # 2048 0.121 / 102.8, 1024 0.106 / 93.9, 512 0.082 / 89.5.  Below
-        # 1024 the process pool pays for the extra chunks: scalar-io wall_s
-        # was 0.447 s at 512 against 0.379 s at 1024.
+        # 1024 the thread pool loses: the 254x254 scalar-io classify at
+        # workers=2 took 0.19-0.22 s at 512 against 0.13-0.14 s at 1024
+        # (medians of 7, two rounds).
         chunk = min(chunk, 1024)
 
     payloads = []
@@ -809,7 +819,8 @@ def classify_field(
     if workers == 1 or len(payloads) == 1:
         results = [_chunk_task(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_type = ThreadPoolExecutor if method == "closed_form" else ProcessPoolExecutor
+        with pool_type(max_workers=workers) as pool:
             results = list(pool.map(_chunk_task, payloads))
 
     out = ProbabilityField.empty(height, width)
@@ -817,5 +828,8 @@ def classify_field(
     targets = {"min": out.p_min, "max": out.p_max, "saddle": out.p_saddle}
     for ch in channels:
         flat = np.concatenate([r[ch] for r in results])
+        bad = np.count_nonzero(~np.isfinite(flat))
+        if bad:
+            raise ValueError(f"{bad} interior p_{ch} values are not finite")
         targets[ch][1:-1, 1:-1] = flat.reshape(height - 2, width - 2)
     return out

@@ -172,6 +172,27 @@ class TestFromScalar:
         assert np.array_equal(loaded.p_min, direct.p_min)
         assert np.array_equal(loaded.p_saddle, direct.p_saddle)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_finite_probability_writes_nothing(self, tmp_path, monkeypatch, capsys, workers):
+        from critprob import engine, field_io
+
+        kernel = engine._closed_chunk
+
+        def nan_min(kind, pos, channels):
+            out = kernel(kind, pos, channels)
+            out["min"][0] = np.nan
+            return out
+
+        monkeypatch.setattr(engine, "_closed_chunk", nan_min)
+        src = tmp_path / "scalar.ucvf"
+        field_io.save_scalar_field(np.random.default_rng(5).normal(size=(9, 11)), str(src))
+        out = tmp_path / "p"
+        code = main(["from-scalar", str(src), "--eb", "0.4",
+                     "--workers", workers, "--out", str(out)])
+        assert code == 1
+        assert "not finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [src]
+
     def test_eb_is_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["from-scalar", str(tmp_path / "s.ucvf")])

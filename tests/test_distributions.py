@@ -333,6 +333,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             d.sample_u01(1.01)
 
+    def test_nan_u_rejected(self):
+        with pytest.raises(ValueError):
+            uniform(0.0, 1.0).sample_u01(math.nan)
+
+    def test_nan_u_in_array_rejected(self):
+        with pytest.raises(ValueError):
+            histogram(0.0, 1.0, [1.0, 2.0]).sample_u01([math.nan, 0.5])
+
     def test_monotone_in_u(self):
         us = np.linspace(0.0, 1.0, 101)
         for d in random_distributions(30, seed=16):
@@ -425,3 +433,7 @@ class TestGaussianSampler:
             GaussianSampler(0.0, 1.0).sample_u01([[0.5, 1.0], [0.2, 0.3]])
         with pytest.raises(ValueError):
             GaussianSampler(0.0, 1.0).sample_u01([[0.5, -0.1], [0.2, 0.3]])
+
+    def test_nan_draws_rejected(self):
+        with pytest.raises(ValueError):
+            GaussianSampler(0.0, 1.0).sample_u01([[math.nan], [0.5]])

@@ -1,6 +1,9 @@
 """Tests for the critical-point probability engine."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -706,6 +709,61 @@ class TestClassifyField:
             assert np.array_equal(one.p_max, two.p_max)
             assert np.array_equal(one.p_saddle, two.p_saddle)
             assert np.array_equal(one.valid, two.valid)
+
+    def test_closed_form_workers_use_no_process_pool(self, monkeypatch):
+        class NoProcessPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the closed form must not start a process pool")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", NoProcessPool)
+        # 58 x 58 = 3364 interior pixels: three 1024-pixel chunks and a
+        # 292-pixel tail
+        for kind in ("uniform", "epanechnikov", "histogram"):
+            field = small_field(kind, seed=13, shape=(60, 60), bins=5)
+            one = classify_field(field, workers=1)
+            for workers in (2, 3):
+                many = classify_field(field, workers=workers)
+                for ch in CHANNELS:
+                    assert np.array_equal(one.channel(ch), many.channel(ch))
+
+    def test_fork_after_threaded_closed_form_does_not_warn(self):
+        # Python 3.12+ warns (DeprecationWarning) when os.fork() runs while
+        # other threads are alive, so the closed form's thread pool must be
+        # gone before Monte Carlo forks its workers.  The warning is
+        # recorded, not raised, because os.fork() emits it after the child
+        # exists.  A fresh interpreter with one BLAS thread counts only the
+        # threads critprob starts.
+        script = "\n".join([
+            "import threading, warnings",
+            "import numpy as np",
+            "from critprob.engine import EstimatorSpec, classify_field",
+            "from critprob.fields import EnsembleStack, ModelSpec, UncertainField",
+            "stack = EnsembleStack(np.random.default_rng(0).uniform(0, 1, (8, 12, 12)))",
+            "field = UncertainField.from_ensemble(stack, ModelSpec(kind='uniform'))",
+            "with warnings.catch_warnings(record=True) as caught:",
+            "    warnings.simplefilter('always', DeprecationWarning)",
+            "    classify_field(field, workers=2)",
+            "    assert threading.active_count() == 1, threading.enumerate()",
+            "    est = EstimatorSpec(method='monte_carlo', n_samples=50)",
+            "    classify_field(field, est, workers=2)",
+            "forks = [str(w.message) for w in caught if 'multi-threaded' in str(w.message)]",
+            "assert not forks, forks",
+        ])
+        src = os.path.dirname(os.path.dirname(engine.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_non_finite_output_raises(self):
+        values = np.full((5, 5), 1e308)
+        values[2, 2] = -1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            field = UncertainField.from_scalar(values, 1e308)
+            with pytest.raises(ValueError, match="not finite"):
+                classify_field(field)
 
     def test_channel_subset(self):
         subsets = [s for k in (1, 2) for s in itertools.combinations(CHANNELS, k)]
