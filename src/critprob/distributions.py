@@ -31,11 +31,20 @@ _KINDS = ("uniform", "epanechnikov", "histogram")
 
 
 def default_epsilon(values) -> float:
-    """Widening width for degenerate supports, scaled to the data range."""
+    """Widening width for degenerate supports, scaled to the data range.
+
+    Raises ValueError when the range is not finite, as it is when it
+    overflows float64.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return EPSILON_FLOOR
-    spread = float(arr.max() - arr.min())
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(arr.max() - arr.min())
+    if not math.isfinite(spread):
+        raise ValueError(
+            f"the value range {float(arr.min()):g} to {float(arr.max()):g} overflows float64"
+        )
     return max(EPSILON_FLOOR, EPSILON_RANGE_FACTOR * spread)
 
 

@@ -20,11 +20,20 @@ all three channels.  Each stencil is shifted so the center's support
 is centered on zero; every kink (support end or histogram bin edge of
 the five positions) is clipped to the center's support and sorted once,
 and Gauss-Legendre nodes on each interval between kinks (8 for the
-Epanechnikov model, 3 otherwise) integrate every channel exactly.  The
-center density and the four neighbor CDFs are evaluated once on those
-nodes; the channels are products of the same arrays.  Per-pixel work
-never depends on how pixels are chunked, so results are identical for
-any worker count.
+Epanechnikov model, 3 otherwise) integrate every channel exactly.  What
+does not depend on the node is found once per interval: midpoint and
+half-width, each neighbor's CDF value at the midpoint and its slope,
+histogram bin lookups, and the center density times the half-width.
+The kernel then takes one node at a time: the center weight and the
+four neighbor CDFs at that node are written in place into a fixed set
+of (pixels, intervals) planes, and every channel, a different product
+of the same planes, adds its node term to its own plane.  A chunk holds
+``CLOSED_PLANE // intervals`` pixels (9 intervals for uniform and
+Epanechnikov stencils, ``5 * (bins + 1) - 1`` for histograms), so a
+plane has about ``CLOSED_PLANE`` elements and the kernel's working set
+stays in cache whatever the field size or model.  Per-pixel work never
+depends on how pixels are chunked, so results are identical for any
+worker count or plane budget.
 
 The Monte Carlo and semianalytical estimators walk each chunk in tiles
 of ``max(1, TILE_DRAWS // n)`` pixels for ``n`` draws per pixel; Monte
@@ -534,43 +543,25 @@ def _bin_index(lo, binw, bins: int, x) -> np.ndarray:
     return np.clip(j, 0, bins - 1, out=j)
 
 
-def _at_nodes(at_mid, slope, xi) -> np.ndarray:
-    """Affine functions at the nodes, given their midpoint values and slopes.
+def _neighbor_lines(kind: str, p, mid, half):
+    """Neighbor CDFs on each interval, as affine functions of the node.
 
-    The node axis comes first, so every elementwise pass over the result
-    runs along contiguous (pixels, intervals) planes.
-    """
-    return at_mid + slope * xi[:, None, None]
-
-
-def _center_pdf(kind: str, p, mid, half, xi) -> np.ndarray:
-    """Center density at the nodes, broadcastable to (nodes, pixels, intervals)."""
-    if kind == "uniform":
-        return (1.0 / (p["hi"] - p["lo"]))[:, None]
-    if kind == "histogram":
-        lo, binw, wn, _ = histogram_table(p["lo"], p["hi"], p["weights"])
-        j = _bin_index(lo, binw, wn.shape[1], mid)
-        return np.take_along_axis(wn, j, axis=1) / binw
-    hw = p["halfwidth"][:, None]
-    u = _at_nodes((mid - p["mean"][:, None]) / hw, half / hw, xi)
-    return 0.75 / hw * (1.0 - u * u)
-
-
-def _node_cdf(kind: str, p, mid, half, xi) -> np.ndarray:
-    """One neighbor's CDF at every node, shape (nodes, pixels, intervals).
-
-    No interval straddles one of the neighbor's kinks, so on each
-    interval its CDF is 0, 1, or a single polynomial piece, found once
-    from the interval midpoint.  Intervals outside the support get zero
-    slope, so their nodes take the tail value exactly.
+    ``p`` holds the parameters of one neighbor per row, ``mid`` and
+    ``half`` the (rows, intervals) midpoints and half-widths.  Returns
+    the value at each midpoint and the change per unit node coordinate;
+    the value at node ``x`` is ``at_mid + slope * x``, and for the
+    Epanechnikov model it is the scaled coordinate ``u`` that the CDF
+    cubic takes.  No interval straddles one of the neighbor's kinks, so
+    on each interval its CDF is 0, 1, or a single polynomial piece,
+    found once from the interval midpoint.  Intervals outside the
+    support get zero slope, so their nodes take the tail value exactly.
     """
     lo, hi = _support_bounds(kind, p)
     inside = (mid > lo[:, None]) & (mid < hi[:, None])
     if kind == "epanechnikov":
         hw = p["halfwidth"][:, None]
         u_mid = np.clip((mid - p["mean"][:, None]) / hw, -1.0, 1.0)
-        u = _at_nodes(u_mid, np.where(inside, half / hw, 0.0), xi)
-        return 0.5 + 0.75 * u - 0.25 * (u * u * u)
+        return u_mid, np.where(inside, half / hw, 0.0)
     if kind == "uniform":
         slope = (1.0 / (hi - lo))[:, None]
         at_mid = slope * (mid - lo[:, None])
@@ -580,52 +571,129 @@ def _node_cdf(kind: str, p, mid, half, xi) -> np.ndarray:
         slope = np.take_along_axis(wn, j, axis=1) / binw
         edge = lo + binw * j
         at_mid = np.take_along_axis(cum, j, axis=1) + slope * (mid - edge)
-    return _at_nodes(np.clip(at_mid, 0.0, 1.0), np.where(inside, slope * half, 0.0), xi)
+    return np.clip(at_mid, 0.0, 1.0, out=at_mid), np.where(inside, slope * half, 0.0)
+
+
+# Elements of one (pixels, intervals) plane of the closed-form kernel:
+# 1024 pixels of a uniform or Epanechnikov stencil, 317 of histogram(5).
+# The kernel touches about 26 planes, 1.8 MiB at this size.  Measured
+# with perfbench on a 2-core x86 host (2 MiB L2 per core), medians of 3
+# interleaved rounds at --seconds 10, closed-grid wall_s and scalar-io
+# wall_s / peak_rss_mib by budget: 4608 0.098 s and 0.50 s / 96.0 MiB,
+# 9216 0.110 and 0.42 / 98.0, 13824 0.124 and 0.41 / 101.0, 18432 0.145
+# and 0.47 / 103.8 (the 1024-pixel cap before it: 0.165 and 0.46 / 98.1).
+# Past the L2 the kernel slows sharply: the 254x254 scalar-io classify
+# at workers=1 took 300 ms at 18432 against 130 ms at 9216 (medians of
+# 6 interleaved runs).  Below 9216 the thread pool loses: with more,
+# shorter numpy calls the two workers wait on the interpreter lock, and
+# the same classify at workers=2 took 155 ms at 4608 and 280 ms at 2304
+# against 113 ms at 9216 (medians of 5).
+CLOSED_PLANE = 9216
+
+
+def closed_chunk_pixels(model) -> int:
+    """Pixels per closed-form chunk: as many as fit one plane of ``CLOSED_PLANE``.
+
+    A stencil has 10 kinks (two support ends at five positions), or
+    ``5 * (bins + 1)`` bin edges for histograms, so one fewer interval.
+    """
+    kinks = 5 * (model.bins + 1) if model.kind == "histogram" else 10
+    return max(1, CLOSED_PLANE // (kinks - 1))
 
 
 def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
     """All requested channels of a pixel chunk from one shared node set.
 
     Every kink is clipped to the center's support and sorted once; the
-    center density and the four neighbor CDFs are evaluated once on the
+    center density and the four neighbor CDFs are evaluated on the
     resulting Gauss-Legendre nodes, and each channel is a different
-    product of those same arrays.  This is exact: every factor is a
+    product of those same values.  This is exact: every factor is a
     polynomial between consecutive kinks, and each channel's integrand
     vanishes outside its own range.
+
+    Per-interval quantities (midpoints, half-widths, each neighbor's
+    midpoint value and slope, the uniform or histogram center density
+    times the half-width) are found once, the four neighbors stacked on
+    a leading axis.  The nodes are then visited one at a time: each
+    factor of a node is written in place into one workspace of
+    (pixels, intervals) planes, and the node's min, max and saddle
+    terms are added to one plane each.  Nodes are added in order and
+    the intervals by one reduction along each contiguous row, so a
+    pixel's rounding never depends on the chunk size.
     """
     pos = _centered(kind, pos)
-    lo, hi = _support_bounds(kind, pos[_POS_C])
+    center = pos[_POS_C]
+    lo, hi = _support_bounds(kind, center)
     pts = np.minimum(np.maximum(_closed_kinks(kind, pos), lo[:, None]), hi[:, None])
     pts.sort(axis=1)
     half = 0.5 * (pts[:, 1:] - pts[:, :-1])
     mid = 0.5 * (pts[:, 1:] + pts[:, :-1])
+    shape = half.shape
     xi, wts = gauss_legendre_nodes(8 if kind == "epanechnikov" else 3)
-    # quadrature weight of every node, center density included
-    g = _center_pdf(kind, pos[_POS_C], mid, half, xi) * half * wts[:, None, None]
-    e, n, w, s = (_node_cdf(kind, p, mid, half, xi) for p in pos[1:])
-    # the center below / above each axis pair of neighbors
-    below_ew, below_ns = (1.0 - e) * (1.0 - w), (1.0 - n) * (1.0 - s)
-    above_ew, above_ns = e * w, n * s
-    out = {}
-    if "min" in channels:
-        out["min"] = _node_sum(g * (below_ew * below_ns))
-    if "max" in channels:
-        out["max"] = _node_sum(g * (above_ew * above_ns))
-    if "saddle" in channels:
-        out["saddle"] = _node_sum(g * (below_ew * above_ns + above_ew * below_ns))
-    return out
+    # east, north, west, south CDFs at node x: at_mid + slope * x
+    nbrs = {k: np.concatenate([p[k] for p in pos[1:]]) for k in center}
+    at_mid, slope = (
+        a.reshape((4,) + shape)
+        for a in _neighbor_lines(kind, nbrs, np.tile(mid, (4, 1)), np.tile(half, (4, 1)))
+    )
+    if kind == "epanechnikov":
+        hw = center["halfwidth"][:, None]
+        c_mid, c_slope = (mid - center["mean"][:, None]) / hw, half / hw
+        c_scale = 0.75 / hw
+    elif kind == "uniform":
+        density = (1.0 / (center["hi"] - center["lo"]))[:, None] * half
+    else:
+        c_lo, binw, wn, _ = histogram_table(center["lo"], center["hi"], center["weights"])
+        j = _bin_index(c_lo, binw, wn.shape[1], mid)
+        density = np.take_along_axis(wn, j, axis=1) / binw * half
+    del pts, mid, nbrs
 
-
-def _node_sum(terms: np.ndarray) -> np.ndarray:
-    """Per-pixel sum of (nodes, pixels, intervals) terms.
-
-    Nodes are added in order and intervals by one reduction along the
-    last axis, so each pixel's rounding never depends on the chunk size.
-    """
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc.sum(axis=1)
+    work = np.empty((16,) + shape)
+    g = work[0]
+    # survival and CDF of the four neighbors
+    sf_cdf = work[1:9].reshape((2, 4) + shape)
+    sf, cdf = sf_cdf
+    # [below, above] the east/west pair and the north/south pair
+    ew, ns = work[9:11], work[11:13]
+    acc = work[13:16]  # min, max, saddle
+    terms, pair = cdf[:3], sf[:2]  # scratch once ew and ns are found
+    for k in range(xi.size):
+        # quadrature weight of the node, center density included
+        if kind == "epanechnikov":
+            np.multiply(c_slope, xi[k], out=g)
+            np.add(c_mid, g, out=g)
+            np.multiply(g, g, out=g)
+            np.subtract(1.0, g, out=g)
+            np.multiply(c_scale, g, out=g)
+            np.multiply(g, half, out=g)
+            np.multiply(g, wts[k], out=g)
+        else:
+            np.multiply(density, wts[k], out=g)
+        np.multiply(slope, xi[k], out=cdf)
+        np.add(at_mid, cdf, out=cdf)
+        if kind == "epanechnikov":
+            # CDF (0.5 + 0.75 u) - 0.25 u^3, with sf as scratch
+            np.multiply(cdf, cdf, out=sf)
+            np.multiply(sf, cdf, out=sf)
+            np.multiply(0.25, sf, out=sf)
+            np.multiply(0.75, cdf, out=cdf)
+            np.add(0.5, cdf, out=cdf)
+            np.subtract(cdf, sf, out=cdf)
+        np.subtract(1.0, cdf, out=sf)
+        np.multiply(sf_cdf[:, 0], sf_cdf[:, 2], out=ew)
+        np.multiply(sf_cdf[:, 1], sf_cdf[:, 3], out=ns)
+        # min: below all four; max: above all four; saddle: below one
+        # pair and above the other, either way round
+        np.multiply(ew, ns, out=terms[:2])
+        np.multiply(ew, ns[::-1], out=pair)
+        np.add(pair[0], pair[1], out=terms[2])
+        if k == 0:
+            np.multiply(g, terms, out=acc)
+        else:
+            np.multiply(g, terms, out=terms)
+            np.add(acc, terms, out=acc)
+    sums = dict(zip(CHANNELS, acc))
+    return {ch: sums[ch].sum(axis=1) for ch in channels}
 
 
 # Draws per tile of the sampling kernels (16 pixels at 2000 draws).  A
@@ -802,13 +870,8 @@ def classify_field(
     elif method == "combinatorial":
         chunk = min(chunk, 512)
     else:
-        # Measured with perfbench on a 2-core x86 host (2 MiB L2 per core),
-        # closed-grid wall_s / peak_rss_mib by cap: 4096 0.113 s / 117.7 MiB,
-        # 2048 0.121 / 102.8, 1024 0.106 / 93.9, 512 0.082 / 89.5.  Below
-        # 1024 the thread pool loses: the 254x254 scalar-io classify at
-        # workers=2 took 0.19-0.22 s at 512 against 0.13-0.14 s at 1024
-        # (medians of 7, two rounds).
-        chunk = min(chunk, 1024)
+        # sized by the plane budget; see CLOSED_PLANE
+        chunk = min(chunk, closed_chunk_pixels(field.model))
 
     payloads = []
     for start in range(0, npix, chunk):

@@ -29,6 +29,15 @@ def _widen_degenerate(lo: np.ndarray, hi: np.ndarray, eps: float):
     return np.where(degenerate, lo - half, lo), np.where(degenerate, lo + half, hi)
 
 
+def _require_finite_supports(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Refuse fitted supports whose bounds or widths overflow float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+    bad = np.count_nonzero(~(np.isfinite(lo) & np.isfinite(hi) & np.isfinite(width)))
+    if bad:
+        raise ValueError(f"{bad} fitted supports overflow float64")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which distribution family to fit, plus its shape parameters."""
@@ -60,7 +69,11 @@ class EnsembleStack:
             raise ValueError("ensemble needs at least one member and one pixel")
         if not np.isfinite(arr).all():
             raise ValueError("ensemble values must be finite")
-        self.values = np.ascontiguousarray(arr, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            values = np.ascontiguousarray(arr, dtype=np.float32)
+        if not np.isfinite(values).all():
+            raise ValueError("ensemble values overflow float32")
+        self.values = values
 
     @property
     def members(self) -> int:
@@ -137,7 +150,9 @@ class UncertainField:
         proportional to the global data range, and by at least
         ``distributions.DEGENERATE_ULPS`` ulps of their value, so every
         support has positive width.  The per-case ``*_from_samples``
-        fitters use the same rule.
+        fitters use the same rule.  Raises ValueError when the value
+        range overflows float64, or an Epanechnikov support does (a
+        large ``k``).
         """
         values = stack.values.astype(np.float64)
         if values.shape[0] < 2 and model.kind in ("epanechnikov", "gaussian"):
@@ -157,7 +172,9 @@ class UncertainField:
         mean = values.mean(axis=0)
         std = values.std(axis=0, ddof=1)
         if model.kind == "epanechnikov":
-            halfwidth = np.maximum(model.k * std, 0.5 * dist.degenerate_width(mean, eps))
+            with np.errstate(over="ignore"):
+                halfwidth = np.maximum(model.k * std, 0.5 * dist.degenerate_width(mean, eps))
+                _require_finite_supports(mean - halfwidth, mean + halfwidth)
             return cls(model, {"mean": mean, "halfwidth": halfwidth})
         return cls(model, {"mean": mean, "stddev": std})
 
@@ -167,9 +184,10 @@ class UncertainField:
 
         Pixels whose band has no width (a zero bound, or one below the
         value's ulp) get the degenerate-pixel widening of
-        ``from_ensemble``, so supports keep positive width.
+        ``from_ensemble``, so supports keep positive width.  Raises
+        ValueError when the value range or a band overflows float64.
         """
-        if error_bound < 0.0:
+        if not error_bound >= 0.0:
             raise ValueError("error bound must be nonnegative")
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 2:
@@ -177,7 +195,10 @@ class UncertainField:
         if not np.isfinite(arr).all():
             raise ValueError("scalar field values must be finite")
         half = 0.5 * error_bound
-        lo, hi = _widen_degenerate(arr - half, arr + half, dist.default_epsilon(arr))
+        eps = dist.default_epsilon(arr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = _widen_degenerate(arr - half, arr + half, eps)
+        _require_finite_supports(lo, hi)
         return cls(ModelSpec("uniform"), {"lo": lo, "hi": hi})
 
 

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,19 @@ class TestFromScalar:
                      "--workers", workers, "--out", str(out)])
         assert code == 1
         assert "not finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [src]
+
+    def test_overflowing_band_exits_one(self, tmp_path, capsys):
+        from critprob import field_io
+
+        src = tmp_path / "scalar.ucvf"
+        field_io.save_scalar_field(np.random.default_rng(5).normal(size=(9, 11)), str(src))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["from-scalar", str(src), "--eb", "inf",
+                         "--workers", "1", "--out", str(tmp_path / "p")])
+        assert code == 1
+        assert "99 fitted supports overflow float64" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [src]
 
     def test_eb_is_required(self, tmp_path):

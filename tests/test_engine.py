@@ -42,7 +42,7 @@ from critprob.engine import (
 )
 from critprob.fields import EnsembleStack, ModelSpec, UncertainField
 from critprob.rngstream import unit_block
-from critprob.synth import random_case
+from critprob.synth import ackley_ensemble, random_case
 
 
 def iid_case(dist_factory, count: int) -> NeighborhoodCase:
@@ -629,7 +629,9 @@ class TestClassifyField:
 
     def test_closed_form_matches_per_case_calls(self):
         rng = np.random.default_rng(3)
-        # 38 x 28 = 1064 interior pixels span two closed-form chunks
+        # 38 x 28 = 1064 interior pixels span two or more closed-form
+        # chunks and end in a partial one; the pixels on either side of
+        # every chunk edge are checked
         base = 10.0 + rng.uniform(-1.0, 1.0, (30, 40))
         two_chunks = EnsembleStack(base + rng.uniform(-0.3, 0.3, (16, 30, 40)))
         for kind in ("uniform", "epanechnikov", "histogram"):
@@ -639,7 +641,10 @@ class TestClassifyField:
                 for _ in range(20)
             ]
             big = UncertainField.from_ensemble(two_chunks, ModelSpec(kind=kind, bins=5))
-            boundary = [(1 + k // 38, 1 + k % 38) for k in (0, 1023, 1024, 1063)]
+            chunk = engine.closed_chunk_pixels(big.model)
+            assert 1064 > chunk and 1064 % chunk != 0
+            edges = [k for start in range(chunk, 1064, chunk) for k in (start - 1, start)]
+            boundary = [(1 + k // 38, 1 + k % 38) for k in (0, *edges, 1063)]
             for fld, where in ((field, pixels), (big, boundary)):
                 prob = classify_field(fld)
                 for r, c in where:
@@ -716,15 +721,50 @@ class TestClassifyField:
                 raise AssertionError("the closed form must not start a process pool")
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", NoProcessPool)
-        # 58 x 58 = 3364 interior pixels: three 1024-pixel chunks and a
-        # 292-pixel tail
+        # 58 x 58 = 3364 interior pixels: several full closed-form chunks
+        # and a partial tail
         for kind in ("uniform", "epanechnikov", "histogram"):
             field = small_field(kind, seed=13, shape=(60, 60), bins=5)
+            chunk = engine.closed_chunk_pixels(field.model)
+            assert 3364 > 2 * chunk and 3364 % chunk != 0
             one = classify_field(field, workers=1)
             for workers in (2, 3):
                 many = classify_field(field, workers=workers)
                 for ch in CHANNELS:
                     assert np.array_equal(one.channel(ch), many.channel(ch))
+
+    def test_closed_form_chunk_layout_does_not_change_results(self, monkeypatch):
+        # 5 x 5 = 25 interior pixels: chunks of 1, 2 and 7 pixels, the
+        # last two with a partial tail
+        subsets = [s for k in (1, 2) for s in itertools.combinations(CHANNELS, k)]
+        models = [("uniform", 5), ("epanechnikov", 5)] + [("histogram", b) for b in (1, 5, 9)]
+        for kind, bins in models:
+            field = small_field(kind, seed=14, shape=(7, 7), bins=bins)
+            intervals = 5 * (bins + 1) - 1 if kind == "histogram" else 9
+            default = {s: classify_field(field, channels=s) for s in subsets}
+            for pixels in (1, 2, 7):
+                monkeypatch.setattr(engine, "CLOSED_PLANE", pixels * intervals)
+                assert engine.closed_chunk_pixels(field.model) == pixels
+                for subset, want in default.items():
+                    for workers in (1, 3):
+                        got = classify_field(field, channels=subset, workers=workers)
+                        for ch in CHANNELS:
+                            assert np.array_equal(got.channel(ch), want.channel(ch))
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("kind, bound_mib", [("histogram", 10), ("epanechnikov", 6)])
+    def test_closed_form_memory_is_bounded_by_the_plane(self, kind, bound_mib):
+        field = UncertainField.from_ensemble(
+            ackley_ensemble(130, 130, members=20, seed=0), ModelSpec(kind=kind, bins=5)
+        )
+        classify_field(field)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            classify_field(field, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
     def test_fork_after_threaded_closed_form_does_not_warn(self):
         # Python 3.12+ warns (DeprecationWarning) when os.fork() runs while
@@ -758,10 +798,13 @@ class TestClassifyField:
         assert proc.returncode == 0, proc.stderr
 
     def test_non_finite_output_raises(self):
+        # the bands of a +/-1e308 raster with a 1e308 error bound; the
+        # fitters refuse them, so the field is built directly
         values = np.full((5, 5), 1e308)
         values[2, 2] = -1e308
         with np.errstate(over="ignore", invalid="ignore"):
-            field = UncertainField.from_scalar(values, 1e308)
+            lo, hi = values - 0.5e308, values + 0.5e308
+            field = UncertainField(ModelSpec("uniform"), {"lo": lo, "hi": hi})
             with pytest.raises(ValueError, match="not finite"):
                 classify_field(field)
 

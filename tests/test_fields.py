@@ -1,6 +1,7 @@
 """Tests for ensemble containers and per-pixel model fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ class TestEnsembleStack:
         bad[1, 1, 1] = np.nan
         with pytest.raises(ValueError):
             EnsembleStack(bad)
+
+    def test_values_beyond_float32_rejected(self):
+        values = np.full((2, 3, 3), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow float32"):
+                EnsembleStack(values)
 
     def test_normalized_range_and_map(self):
         stack = sample_stack(3)
@@ -152,6 +160,18 @@ class TestFromEnsemble:
         field = UncertainField.from_ensemble(sample_stack(), ModelSpec(kind="uniform"))
         assert field.shape == (6, 7)
 
+    def test_overflowing_fit_rejected(self):
+        stack = sample_stack()
+        stack.values[:, 2, 3] = np.inf  # replaced after the stack's own check
+        wide = EnsembleStack(np.random.default_rng(1).uniform(0.0, 1e30, (4, 5, 5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("uniform", "epanechnikov", "histogram", "gaussian"):
+                with pytest.raises(ValueError, match="overflows float64"):
+                    UncertainField.from_ensemble(stack, ModelSpec(kind=kind))
+            with pytest.raises(ValueError, match="overflow float64"):
+                UncertainField.from_ensemble(wide, ModelSpec(kind="epanechnikov", k=1e300))
+
 
 class TestFromScalar:
     def test_support_width_equals_bound(self):
@@ -179,11 +199,24 @@ class TestFromScalar:
         with pytest.raises(ValueError):
             UncertainField.from_scalar(np.ones((3, 3)), -0.1)
         with pytest.raises(ValueError):
+            UncertainField.from_scalar(np.ones((3, 3)), float("nan"))
+        with pytest.raises(ValueError):
             UncertainField.from_scalar(np.ones(9), 0.1)
         bad = np.ones((3, 3))
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
             UncertainField.from_scalar(bad, 0.1)
+
+    def test_overflowing_fit_rejected(self):
+        values = np.full((5, 5), 1e308)
+        values[2, 2] = -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="value range .* overflows float64"):
+                UncertainField.from_scalar(values, 1e308)
+            # a finite value range whose bands overflow
+            with pytest.raises(ValueError, match="25 fitted supports overflow float64"):
+                UncertainField.from_scalar(np.full((5, 5), 1.7e308), 1e308)
 
 
 class TestProbabilityField:
