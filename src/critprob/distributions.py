@@ -118,6 +118,23 @@ def box_muller(mean, stddev, u1, u2, out):
     return out
 
 
+def _bin_entries(cum, weights, j):
+    """``cum`` and ``weights`` at bin ``j`` of each row, as new arrays.
+
+    One flat ``np.take`` per table, over row * width + j, in place of
+    ``take_along_axis``, which builds a broadcast index for each axis.
+    ``j`` is shifted in place and restored.
+    """
+    rows = np.arange(j.shape[0])[:, None]
+    h = weights.shape[1]
+    j += rows * (h + 1)
+    cw = np.take(cum, j)
+    j -= rows
+    wj = np.take(weights, j)
+    j -= rows * h
+    return cw, wj
+
+
 def histogram_icdf(lo, binw, weights, cum, u, out):
     """Inverse CDF for equal-width histograms.
 
@@ -129,8 +146,7 @@ def histogram_icdf(lo, binw, weights, cum, u, out):
     j = np.zeros(u.shape, dtype=np.intp)
     for k in range(1, h):
         j += u >= cum[:, k : k + 1]
-    cw = np.take_along_axis(cum, j, axis=1)
-    wj = np.take_along_axis(weights, j, axis=1)
+    cw, wj = _bin_entries(cum, weights, j)
     # position within the bin, 0 in a bin of zero weight
     u -= cw
     filled = wj > 0.0
@@ -155,8 +171,7 @@ def histogram_cdf_values(lo, binw, weights, cum, x, out):
     out /= binw
     j = np.floor(out, out=out).astype(np.intp)
     np.clip(j, 0, h - 1, out=j)
-    cw = np.take_along_axis(cum, j, axis=1)
-    wj = np.take_along_axis(weights, j, axis=1)
+    cw, wj = _bin_entries(cum, weights, j)
     np.multiply(binw, j, out=out)
     out += lo
     np.subtract(x, out, out=out)

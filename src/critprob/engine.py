@@ -35,17 +35,30 @@ stays in cache whatever the field size or model.  Per-pixel work never
 depends on how pixels are chunked, so results are identical for any
 worker count or plane budget.
 
-The Monte Carlo and semianalytical estimators walk each chunk in tiles
-of ``max(1, TILE_DRAWS // n)`` pixels for ``n`` draws per pixel; Monte
-Carlo also splits a pixel's draws into tiles of ``TILE_DRAWS`` when
-``n`` is larger.  Every tile fills the same buffers in place
-(counter-based uniform draws keyed by pixel, the inverse-CDF transform,
-the pattern flags), so their memory is set by the tile, not by the
-chunk or the draw count, and stays in cache.  Draws and counts are per
-pixel, so tiles change no result.  The single-case estimators
-(``mc_all_patterns``, ``semianalytical_prob``) run the same kernels on
-a batch of one pixel, so a case and its grid pixel give identical
-results.
+Monte Carlo draws one realization of the field per sample: pixel p's
+value at sample i is counter i of p's own streams (one plane, two for a
+Gaussian), made once and read by each of the up to five stencils that
+hold p.  Every stencil still sees five independent draws from its five
+distributions, so each pixel's estimate keeps its Binomial(n, p) / n
+law, but the estimates of neighboring pixels are correlated.  The
+kernel draws a set of distributions and counts stencils given as
+columns of distribution indices.  A grid chunk is whole interior rows
+plus the row above and below; tiles of consecutive stencils draw the
+pixels they read, their own rows and one more above and below, in
+blocks of ``TILE_DRAWS`` stencil draws.  The semianalytical estimator
+walks each chunk in tiles of ``max(1, TILE_DRAWS // c)`` pixels for
+``c`` center draws per pixel.  Every tile fills the same buffers in
+place (counter-based uniform draws, the inverse-CDF transform, the
+pattern flags), so memory is set by the tile, not by the chunk or the
+draw count, and stays in cache.  Draws are keyed by pixel and counts
+are integers, so tiles change no result.
+
+The single-case estimators run the same kernels on one stencil.  In
+``mc_all_patterns`` the case's distributions take consecutive planes
+of the streams of the case's ``pixel`` key, center first, so a grid
+pixel, whose neighbors draw from their own streams, differs from the
+Monte Carlo estimate of its case; ``semianalytical_prob`` gives its
+grid pixel's value bit for bit.
 
 With more than one worker, closed-form chunks run on a thread pool:
 the kernel is a short run of vectorized numpy passes, which release the
@@ -237,19 +250,20 @@ def _fold(ufunc, arrays, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pattern_stats(xs, patterns, scratch: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Counts of joint draws matching each pattern.
+def _pattern_flags(xs, patterns, scratch: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Which joint draws match each pattern, as bool arrays.
 
     ``xs`` holds draws for center then neighbors; arrays may carry a
     leading pixel axis.  Comparisons are strict, so ties count against
     every pattern.  ``scratch`` is a bool work area of shape
-    (2 * neighbors + 2, *xs[0].shape), allocated when not given; only
-    the comparisons a requested pattern needs are made.
+    (2 * neighbors + 3, *xs[0].shape), allocated when not given, and
+    the flags returned are views of it; only the comparisons a
+    requested pattern needs are made.
     """
     c, nbrs = xs[0], xs[1:]
     k = len(nbrs)
     if scratch is None:
-        scratch = np.empty((2 * k + 2,) + c.shape, dtype=bool)
+        scratch = np.empty((2 * k + 3,) + c.shape, dtype=bool)
     below, above, acc = scratch[:k], scratch[k : 2 * k], scratch[2 * k :]
     if "min" in patterns or "saddle" in patterns:
         for i in range(k):
@@ -259,18 +273,25 @@ def _pattern_stats(xs, patterns, scratch: np.ndarray | None = None) -> dict[str,
             np.greater(c, nbrs[i], out=above[i])
     out = {}
     if "min" in patterns:
-        out["min"] = np.count_nonzero(_fold(np.logical_and, below, acc[0]), axis=-1)
+        out["min"] = _fold(np.logical_and, below, acc[0])
     if "max" in patterns:
-        out["max"] = np.count_nonzero(_fold(np.logical_and, above, acc[0]), axis=-1)
+        out["max"] = _fold(np.logical_and, above, acc[1])
     if "saddle" in patterns:
         # below the first neighbor of each axis pair (east, west) and
-        # above the second (north, south), or the reverse
+        # above the second (north, south), or the reverse; the two
+        # terms use disjoint planes, so the second folds in place
         first = [below[i] if i % 2 == 0 else above[i] for i in range(k)]
         second = [above[i] if i % 2 == 0 else below[i] for i in range(k)]
-        either = _fold(np.logical_and, first, acc[0])
-        either |= _fold(np.logical_and, second, acc[1])
-        out["saddle"] = np.count_nonzero(either, axis=-1)
+        either = _fold(np.logical_and, first, acc[2])
+        either |= _fold(np.logical_and, second, second[0])
+        out["saddle"] = either
     return out
+
+
+def _pattern_stats(xs, patterns) -> dict[str, np.ndarray]:
+    """Counts of joint draws matching each pattern, along the last axis."""
+    flags = _pattern_flags(xs, patterns)
+    return {p: np.count_nonzero(f, axis=-1) for p, f in flags.items()}
 
 
 def _case_sampler(d):
@@ -285,14 +306,22 @@ def mc_all_patterns(
 ) -> ProbabilityTriple:
     """Monte Carlo pattern fractions over n joint inverse-CDF draws.
 
-    All three patterns come from one set of draws, which is deterministic
-    for a given (seed, pixel) key and equals the grid's draws for that
-    pixel.  The standard error is at most 0.5 / sqrt(n).
+    All three patterns come from one set of draws, deterministic for a
+    given (seed, pixel) key: the distributions take consecutive planes
+    of the pixel's streams, center first (two planes for a Gaussian).
+    The standard error is at most 0.5 / sqrt(n).
     """
     if n < 1:
         raise ValueError("n must be positive")
     samplers = [_case_sampler(d) for d in (case.center, *case.neighbors)]
-    stats = _mc_chunk(samplers, np.array([pixel], dtype=np.uint64), n, seed, PATTERNS)
+    first = np.cumsum([0] + [per for per, _, _ in samplers])
+    keys = rngstream.stream_keys(seed, [pixel], int(first[-1]))
+    entities = [
+        (keys[:, a:b], kernel, params)
+        for (_, kernel, params), a, b in zip(samplers, first[:-1], first[1:])
+    ]
+    stencil = np.arange(len(samplers))[None, :]
+    stats = _mc_chunk(entities, stencil, n, PATTERNS)
     return ProbabilityTriple(*(float(stats[p][0]) for p in PATTERNS))
 
 
@@ -478,25 +507,17 @@ def pixel_index(field: UncertainField, row: int, col: int) -> int:
     return row * field.width + col
 
 
-def _stencil_views(arr: np.ndarray) -> list[np.ndarray]:
-    c = arr[1:-1, 1:-1]
-    e = arr[1:-1, 2:]
-    n = arr[:-2, 1:-1]
-    w = arr[1:-1, :-2]
-    s = arr[2:, 1:-1]
-    tail = arr.shape[2:]
-    return [v.reshape((-1,) + tail) for v in (c, e, n, w, s)]
+def _band_params(band: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A band of whole field rows as flat per-pixel parameter arrays.
 
-
-def _position_params(field: UncertainField) -> list[dict[str, np.ndarray]]:
-    params = dict(field.params)
-    if "weights" in params:
-        # normalized once here, as FiniteDistribution does; the kernels'
-        # histogram tables use the weights as given
-        w = params["weights"]
-        params["weights"] = w / w.sum(axis=-1, keepdims=True)
-    views = {name: _stencil_views(arr) for name, arr in params.items()}
-    return [{name: views[name][pos] for name in views} for pos in range(5)]
+    Histogram weights are normalized here, as ``FiniteDistribution``
+    does; the kernels' histogram tables use the weights as given.
+    """
+    flat = {name: arr.reshape((-1,) + arr.shape[2:]) for name, arr in band.items()}
+    if "weights" in flat:
+        w = flat["weights"]
+        flat["weights"] = w / w.sum(axis=-1, keepdims=True)
+    return flat
 
 
 def _support_bounds(kind: str, p: dict[str, np.ndarray]):
@@ -696,14 +717,16 @@ def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
     return {ch: sums[ch].sum(axis=1) for ch in channels}
 
 
-# Draws per tile of the sampling kernels (16 pixels at 2000 draws).  A
-# tile's buffers take 74 bytes per draw for one-plane models: splitmix64
-# scratch, the uniform plane, five positions' draws and the pattern
-# flags.  Measured on a 2-core x86 host (48 KiB L1d, 2 MiB L2 per core),
-# uniform MC(2000) on one 1000-pixel chunk, median of 15 interleaved
-# rounds: 4096 draws 0.222 s, 8192 0.162, 16384 0.131, 32768 0.123,
-# 65536 0.131 (the untiled kernel took 0.40 s).  Histogram and Gaussian
-# chunks are within 10% of each other over 16384..65536.
+# Draws per tile of the sampling kernels: pixels times draws for the
+# semianalytical kernel, stencils times draws per block for Monte Carlo
+# (516 stencils of a 64-wide field at 63 draws).  The Monte Carlo
+# buffers take about 90 bytes per stencil draw: splitmix64 scratch, the
+# uniform plane and the draws of the tile's pixels, each position's
+# gathered draws, the pattern flags and the hit counters.  Measured on a
+# 2-core x86 host (48 KiB L1d, 2 MiB L2 per core), Monte Carlo (2000) of
+# a 64 x 64 field on one worker, median of 5 runs, uniform / histogram(5)
+# / Gaussian: 8192 draws 0.28 / 0.58 / 0.72 s, 16384 0.26 / 0.57 / 0.59,
+# 32768 0.18 / 0.41 / 0.45, 65536 0.19 / 0.37 / 0.53.
 TILE_DRAWS = 32768
 
 
@@ -714,54 +737,127 @@ def _tiles(npix: int, n: int):
 
 
 def _sampler(kind: str, p: dict[str, np.ndarray]):
-    """Uniform planes, sampling kernel and parameters of one stencil position.
+    """Uniform planes, sampling kernel and parameters of a batch of pixels.
 
     Parameters are (pixels, 1) columns or (pixels, bins) tables, so a
     tile slices them by rows; a histogram's are the tables
     ``histogram_cdf_values`` takes.  ``_case_sampler`` builds the same
-    values from a distribution object, so grid draws match single-case
-    draws bit for bit.
+    values from a distribution object, so a grid pixel and its
+    distribution draw bit for bit the same values from the same streams.
     """
     if kind == "gaussian":
         return 2, box_muller, (p["mean"][:, None], p["stddev"][:, None])
     return 1, *icdf_sampler(kind, *_support_bounds(kind, p), p.get("weights"))
 
 
-def _mc_chunk(samplers, px_idx, n, seed, channels) -> dict[str, np.ndarray]:
-    """Monte Carlo fractions of a pixel batch, one small tile at a time.
+# Stencils per Monte Carlo tile, at least, in units of a stencil's reach:
+# the span of distribution indices one stencil reads, 2 * width + 1 on a
+# grid.  A tile draws every distribution in the span its stencils read,
+# about one reach more than its stencils, and neighboring tiles draw that
+# halo again, so the repeated draws stay near 1 / _TILE_REACHES; more
+# reaches make shorter draw blocks.  On the host of the TILE_DRAWS
+# figures, uniform Monte Carlo (2000) of a 64 x 64 field on one worker,
+# median of 5 runs: 1, 2, 4, 8 and 16 reaches took 0.26, 0.21, 0.19,
+# 0.19 and 0.21 s.
+_TILE_REACHES = 4
 
-    ``samplers`` holds one ``_sampler`` triple per stencil position,
-    center first; their uniform planes are consecutive streams of each
-    pixel's key.  A pixel's draws are split into tiles of ``TILE_DRAWS``
-    when there are more.  Every tile reuses the same buffers: its
-    uniform planes, the draws of each position and the pattern flags.
-    Pattern counts are integers, summed over the draw tiles and divided
-    by ``n`` once, so the split changes no result.
+
+def _mc_tiles(stencils: np.ndarray, n: int):
+    """Draws per block and the stencil tiles of the Monte Carlo kernel.
+
+    A tile is a run of consecutive stencils, ``TILE_DRAWS // n`` of them
+    or ``_TILE_REACHES`` reaches if that is more, and takes its draws in
+    blocks of ``TILE_DRAWS`` stencil draws in all.  Each tile is given as
+    (stencil slice, first distribution, distribution count).
     """
-    planes = [per for per, _, _ in samplers]
-    first = np.cumsum([0] + planes)
-    keys = rngstream.stream_keys(seed, px_idx, int(first[-1]))
-    width = min(n, TILE_DRAWS)
-    size, tiles = _tiles(px_idx.size, n)
-    scratch = np.empty((2, size, width), dtype=np.uint64)
-    u = np.empty((max(planes), size, width))
-    xs = np.empty((len(samplers), size, width))
-    flags = np.empty((2 * len(samplers), size, width), dtype=bool)
-    counts = {ch: np.zeros(px_idx.size, dtype=np.int64) for ch in channels}
-    for start in range(0, n, width):
-        ctr = rngstream.counters(start, min(start + width, n))
-        m = ctr.size
-        for sl in tiles:
-            k = sl.stop - sl.start
-            for i, (per, kernel, params) in enumerate(samplers):
-                for q in range(per):
+    lo = stencils.min(axis=1)
+    hi = stencils.max(axis=1) + 1
+    count = stencils.shape[0]
+    size = min(count, max(TILE_DRAWS // n, _TILE_REACHES * int((hi - lo).max())))
+    width = min(n, max(1, TILE_DRAWS // size))
+    tiles = []
+    for a in range(0, count, size):
+        sl = slice(a, min(a + size, count))
+        first = int(lo[sl].min())
+        tiles.append((sl, first, int(hi[sl].max()) - first))
+    return width, tiles
+
+
+def _shaped(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """Contiguous view of the leading elements of the flat ``buf``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _mc_chunk(entities, stencils, n, channels) -> dict[str, np.ndarray]:
+    """Monte Carlo fractions of a batch of stencils over shared draws.
+
+    ``entities`` lists groups of distributions as (keys, kernel,
+    params): the (m, planes) stream keys of m distributions, and the
+    ``_sampler`` kernel and parameters that turn their uniform planes
+    into draws.  Distributions are numbered through the groups in
+    order, and ``stencils`` is an (S, positions) array of those numbers,
+    center first.  Draw i of a distribution is counter i of its streams,
+    made once per block of a tile and read by every stencil of the tile
+    that holds the distribution, so stencils that share a distribution
+    see the same value.
+
+    Every block reuses the same buffers: the uniform planes, the draws,
+    each position's gathered draws and the pattern flags.  Matches add up
+    in uint8 counters, moved to the int64 counts every 255 blocks and at
+    the end of a tile.  Counts are integers, divided by ``n`` once, so
+    the tile and block layout changes no result.
+    """
+    width, tiles = _mc_tiles(stencils, n)
+    bounds = np.cumsum([0] + [keys.shape[0] for keys, _, _ in entities])
+    groups = list(zip(entities, bounds[:-1], bounds[1:]))
+    # the most distributions one tile draws, and one group of them
+    span = max(count for _, _, count in tiles)
+    piece = max(
+        min(g1, first + count) - max(g0, first)
+        for _, first, count in tiles
+        for _, g0, g1 in groups
+    )
+    size = max(sl.stop - sl.start for sl, _, _ in tiles)
+    k = stencils.shape[1]
+    scratch = np.empty(2 * piece * width, dtype=np.uint64)
+    u = np.empty(max(keys.shape[1] for keys, _, _ in entities) * piece * width)
+    xs = np.empty(span * width)
+    picks = np.empty(k * size * width)
+    flags = np.empty((2 * k + 1) * size * width, dtype=bool)
+    hits = np.empty(len(channels) * size * width, dtype=np.uint8)
+    counts = {ch: np.zeros(stencils.shape[0], dtype=np.int64) for ch in channels}
+    for sl, first, count in tiles:
+        s = sl.stop - sl.start
+        local = stencils[sl] - first
+        tile_hits = _shaped(hits, len(channels), s, width)
+        tile_hits.fill(0)
+        for block, start in enumerate(range(0, n, width)):
+            ctr = rngstream.counters(start, min(start + width, n))
+            m = ctr.size
+            x = _shaped(xs, count, m)
+            for (keys, kernel, params), g0, g1 in groups:
+                a0, a1 = max(g0, first), min(g1, first + count)
+                if a0 >= a1:
+                    continue
+                rows = slice(a0 - g0, a1 - g0)
+                planes = _shaped(u, keys.shape[1], a1 - a0, m)
+                for q, plane in enumerate(planes):
                     rngstream.fill_units(
-                        keys[sl, first[i] + q], ctr, u[q, :k, :m], scratch[:, :k, :m]
+                        keys[rows, q], ctr, plane, _shaped(scratch, 2, a1 - a0, m)
                     )
-                kernel(*(a[sl] for a in params), *u[:per, :k, :m], xs[i, :k, :m])
-            stats = _pattern_stats(xs[:, :k, :m], channels, flags[:, :k, :m])
-            for ch in channels:
-                counts[ch][sl] += stats[ch]
+                kernel(*(p[rows] for p in params), *planes, x[a0 - first : a1 - first])
+            pos = _shaped(picks, k, s, m)
+            # the indices are in range; mode "clip" writes straight into
+            # ``out``, where "raise" goes through a buffer
+            for i in range(k):
+                np.take(x, local[:, i], axis=0, out=pos[i], mode="clip")
+            found = _pattern_flags(pos, channels, _shaped(flags, 2 * k + 1, s, m))
+            for i, ch in enumerate(channels):
+                np.add(tile_hits[i, :, :m], found[ch].view(np.uint8), out=tile_hits[i, :, :m])
+            if block % 255 == 254 or start + width >= n:
+                for i, ch in enumerate(channels):
+                    counts[ch][sl] += tile_hits[i].sum(axis=-1, dtype=np.int64)
+                tile_hits.fill(0)
     return {ch: counts[ch] / n for ch in channels}
 
 
@@ -808,14 +904,32 @@ def _comb_chunk(pos, channels) -> dict[str, np.ndarray]:
 
 
 def _chunk_task(payload) -> dict[str, np.ndarray]:
-    method, kind, pos, px_idx, estimator, channels = payload
+    """One chunk of ``classify_field``: its pixels and the rows around them.
+
+    ``band`` holds whole field rows, from the row above the chunk's first
+    pixel to the row below its last; ``origin`` is the flat field index
+    of the band's first pixel, and ``centers`` the band indices of the
+    chunk's pixels.  Monte Carlo draws every pixel of the band once per
+    sample; the other methods gather each stencil position's parameters
+    for the chunk's pixels, so their copies scale with the chunk.
+    """
+    method, kind, band, origin, centers, estimator, channels = payload
+    rows, width = next(iter(band.values())).shape[:2]
+    params = _band_params(band)
+    # center, east, north, west, south
+    stencils = centers[:, None] + np.array([0, 1, -width, -1, width])
+    if method == "monte_carlo":
+        per, kernel, columns = _sampler(kind, params)
+        pixels = origin + np.arange(rows * width)
+        keys = rngstream.stream_keys(estimator.seed, pixels, per)
+        return _mc_chunk([(keys, kernel, columns)], stencils, estimator.n_samples, channels)
+    pos = [{name: arr[stencils[:, i]] for name, arr in params.items()} for i in range(5)]
     if method == "closed_form":
         return _closed_chunk(kind, pos, channels)
     if method == "combinatorial":
         return _comb_chunk(pos, channels)
     samplers = [_sampler(kind, p) for p in pos]
-    if method == "monte_carlo":
-        return _mc_chunk(samplers, px_idx, estimator.n_samples, estimator.seed, channels)
+    px_idx = (origin + centers).astype(np.uint64)
     return _semi_chunk(samplers, px_idx, estimator.c, estimator.seed, channels)
 
 
@@ -827,12 +941,14 @@ def classify_field(
 ) -> ProbabilityField:
     """Per-pixel critical-point probabilities over the interior pixels.
 
-    The one-pixel border is marked invalid.  Work is split into pixel
-    chunks; per-pixel math never crosses chunk boundaries and sample
-    streams are keyed by pixel index, so the output is identical for
-    any ``workers`` value or chunk layout.  Raises ValueError if any
-    requested channel has a non-finite interior value, as it does when
-    a field's supports overflow float64.
+    The one-pixel border is marked invalid.  Work is split into one
+    pixel chunk per worker (whole interior rows for Monte Carlo; the
+    closed form and combinatorial chunks are smaller still).  Per-pixel
+    math never crosses chunk boundaries, and sample streams are keyed by
+    pixel index, so the output is identical for any ``workers`` value or
+    chunk layout.  Raises ValueError if any requested channel has a
+    non-finite interior value, as it does when a field's supports
+    overflow float64.
     """
     estimator = estimator or EstimatorSpec()
     if isinstance(channels, str):
@@ -856,30 +972,32 @@ def classify_field(
     if workers < 1:
         raise ValueError("workers must be positive")
 
-    pos = _position_params(field)
-    rows = np.arange(1, height - 1)
-    cols = np.arange(1, width - 1)
-    px_idx = (rows[:, None] * width + cols[None, :]).reshape(-1).astype(np.uint64)
-    npix = px_idx.size
-
-    chunk = max(1, math.ceil(npix / workers))
+    inner = width - 2
+    npix = (height - 2) * inner
     if method == "monte_carlo":
-        chunk = min(chunk, max(1, 2_000_000 // estimator.n_samples))
-    elif method == "semianalytical":
-        chunk = min(chunk, max(1, 2_000_000 // estimator.c))
-    elif method == "combinatorial":
-        chunk = min(chunk, 512)
+        # whole interior rows: each chunk draws the rows above and below
+        # it as well, so chunks are as few as the workers allow
+        chunk = inner * math.ceil((height - 2) / workers)
     else:
-        # sized by the plane budget; see CLOSED_PLANE
-        chunk = min(chunk, closed_chunk_pixels(field.model))
+        chunk = math.ceil(npix / workers)
+        if method == "combinatorial":
+            chunk = min(chunk, 512)
+        elif method == "closed_form":
+            # sized by the plane budget; see CLOSED_PLANE
+            chunk = min(chunk, closed_chunk_pixels(field.model))
+    spans = [(start, min(start + chunk, npix)) for start in range(0, npix, chunk)]
 
-    payloads = []
-    for start in range(0, npix, chunk):
-        stop = min(start + chunk, npix)
-        pos_slice = [{k: v[start:stop] for k, v in p.items()} for p in pos]
-        payloads.append((method, kind, pos_slice, px_idx[start:stop], estimator, channels))
+    def payload(start: int, stop: int):
+        top = start // inner  # the row above the chunk's first pixel
+        bottom = (stop - 1) // inner + 3  # past the row below its last
+        band = {name: arr[top:bottom] for name, arr in field.params.items()}
+        flat = np.arange(start, stop)
+        centers = (flat // inner + 1 - top) * width + flat % inner + 1
+        return method, kind, band, top * width, centers, estimator, channels
 
-    if workers == 1 or len(payloads) == 1:
+    # built as the chunks run: a band is a view of the field's rows
+    payloads = (payload(start, stop) for start, stop in spans)
+    if workers == 1 or len(spans) == 1:
         results = [_chunk_task(p) for p in payloads]
     else:
         pool_type = ThreadPoolExecutor if method == "closed_form" else ProcessPoolExecutor

@@ -344,6 +344,24 @@ def layout_draws(case, n, seed, pixel):
     return xs
 
 
+def shared_draw_fractions(field, r, c, n, seed):
+    """A grid pixel's Monte Carlo fractions, rebuilt from the field's draws.
+
+    Each of the five stencil pixels p, p + 1, p - W, p - 1, p + W draws
+    its own ``unit_block`` streams (two planes for a Gaussian) and
+    transforms them with its own distribution; the pattern counts over
+    those five rows are divided by n.
+    """
+    where = [(r, c), (r, c + 1), (r - 1, c), (r, c - 1), (r + 1, c)]
+    dists = [field.dist_at(*rc) for rc in where]
+    planes = dists[0].u01_planes
+    pixels = np.array([pixel_index(field, *rc) for rc in where])
+    u = unit_block(seed, pixels, planes, n)
+    xs = [d.sample_u01(u[i, 0] if planes == 1 else u[i]) for i, d in enumerate(dists)]
+    stats = engine._pattern_stats(xs, PATTERNS)
+    return {p: stats[p] / n for p in PATTERNS}
+
+
 class TestMonteCarlo:
     def test_seed_determinism(self):
         case = random_case(seed=1, model="epanechnikov")
@@ -653,18 +671,35 @@ class TestClassifyField:
                     assert prob.p_max[r, c] == pytest.approx(trip.p_max, abs=1e-12)
                     assert prob.p_saddle[r, c] == pytest.approx(trip.p_saddle, abs=1e-12)
 
-    def test_monte_carlo_matches_per_case_calls_bitwise(self):
+    def test_monte_carlo_matches_shared_draws_bitwise(self):
         for kind in ("uniform", "epanechnikov", "histogram", "gaussian"):
             field = small_field(kind, seed=4, shape=(5, 6))
             est = EstimatorSpec(method="monte_carlo", n_samples=400, seed=9)
             prob = classify_field(field, est)
             for r, c in ((1, 1), (2, 3), (3, 4)):
-                trip = mc_all_patterns(
-                    case_at(field, r, c), 400, seed=9, pixel=pixel_index(field, r, c)
-                )
-                assert prob.p_min[r, c] == trip.p_min
-                assert prob.p_max[r, c] == trip.p_max
-                assert prob.p_saddle[r, c] == trip.p_saddle
+                want = shared_draw_fractions(field, r, c, 400, seed=9)
+                assert prob.p_min[r, c] == want["min"]
+                assert prob.p_max[r, c] == want["max"]
+                assert prob.p_saddle[r, c] == want["saddle"]
+
+    def test_adjacent_pixels_share_their_draws(self):
+        # Pixels a = (1, 1) and b = (1, 2) are U(0, 1); every other pixel
+        # lies above both (below both in the mirrored field), so each of
+        # a and b is the minimum (maximum) about half the time.  In one
+        # realization at most one of them can be, so with shared draws
+        # the pair's fractions sum to at most 1; draws made afresh for
+        # every stencil exceed 1 about half the time.
+        lo, hi = np.full((3, 4), 2.0), np.full((3, 4), 3.0)
+        lo[1, 1:3], hi[1, 1:3] = 0.0, 1.0
+        for bounds in ((lo, hi), (-hi, -lo)):
+            field = UncertainField(ModelSpec("uniform"), dict(zip(("lo", "hi"), bounds)))
+            for seed in range(8):
+                est = EstimatorSpec(method="monte_carlo", n_samples=2000, seed=seed)
+                prob = classify_field(field, est)
+                p_min, p_max = prob.p_min[1, 1:3], prob.p_max[1, 1:3]
+                assert max(p_min.min(), p_max.min()) > 0.4
+                assert p_min[0] + p_min[1] <= 1.0
+                assert p_max[0] + p_max[1] <= 1.0
 
     def test_semianalytical_matches_per_case_calls_bitwise(self):
         field = small_field("histogram", seed=5, shape=(5, 6))
@@ -703,8 +738,8 @@ class TestClassifyField:
             (small_field("uniform", seed=7), EstimatorSpec()),
             (small_field("epanechnikov", seed=7), EstimatorSpec()),
         ]
-        # 6-pixel tiles: one worker's tiles start at multiples of 6, two
-        # workers' at 0, 6, 12 and 15, 21, 27
+        # 5 interior rows: one Monte Carlo chunk on one worker, rows 3 + 2
+        # on two, each chunk's draws in several blocks
         mc = EstimatorSpec(method="monte_carlo", n_samples=engine.TILE_DRAWS // 6, seed=1)
         runs += [(small_field(kind, seed=7), mc) for kind in ("epanechnikov", "gaussian")]
         for field, est in runs:
@@ -752,7 +787,8 @@ class TestClassifyField:
                             assert np.array_equal(got.channel(ch), want.channel(ch))
             monkeypatch.undo()
 
-    @pytest.mark.parametrize("kind, bound_mib", [("histogram", 10), ("epanechnikov", 6)])
+    # measured peaks 3.2 MiB (histogram) and 2.5 MiB (Epanechnikov)
+    @pytest.mark.parametrize("kind, bound_mib", [("histogram", 4), ("epanechnikov", 6)])
     def test_closed_form_memory_is_bounded_by_the_plane(self, kind, bound_mib):
         field = UncertainField.from_ensemble(
             ackley_ensemble(130, 130, members=20, seed=0), ModelSpec(kind=kind, bins=5)
@@ -845,42 +881,74 @@ class TestClassifyField:
         with pytest.raises(ValueError):
             classify_field(tiny)
 
-    def test_sampling_tile_edges_match_per_case_calls_bitwise(self):
-        # a few pixels per tile, so the 16 interior pixels span several
-        # tiles and end in a partial one
+    def test_sampling_tile_edges_match_reference_bitwise(self):
         n = engine.TILE_DRAWS // 5
+        # Monte Carlo tiles hold 4 * (2 * 6 + 1) = 52 stencils of a 6-wide
+        # field, so the 60 interior pixels of a 17 x 6 field take two
+        # tiles; its 15 rows split 8 + 7 on two workers and 5 + 5 + 5 on
+        # three.  Every channel subset is checked, on 1, 2 or 3 workers.
+        assert engine.TILE_DRAWS // n < engine._TILE_REACHES * 13 < 60
+        subsets = [s for k in (1, 2, 3) for s in itertools.combinations(CHANNELS, k)]
+        est = EstimatorSpec(method="monte_carlo", n_samples=n, seed=5)
+        for kind in ("uniform", "epanechnikov", "histogram", "gaussian"):
+            field = small_field(kind, seed=12, shape=(17, 6))
+            pixels = list(itertools.product(range(1, 16), range(1, 5)))
+            want = {rc: shared_draw_fractions(field, *rc, n, seed=5) for rc in pixels}
+            for i, subset in enumerate(subsets):
+                prob = classify_field(field, est, channels=subset, workers=1 + i % 3)
+                for (r, c), fractions in want.items():
+                    for ch in CHANNELS:
+                        got = prob.channel(ch)[r, c]
+                        assert got == (fractions[ch] if ch in subset else 0.0)
+        # semianalytical: a few pixels per tile, so the 16 interior pixels
+        # span several tiles and end in a partial one
         tile = max(1, engine.TILE_DRAWS // n)
         assert 16 > tile and 16 % tile != 0
         subsets = [CHANNELS] + [(ch,) for ch in CHANNELS]
-        for kind in ("uniform", "epanechnikov", "histogram", "gaussian"):
-            field = small_field(kind, seed=12, shape=(6, 6))
-            ests = [EstimatorSpec(method="monte_carlo", n_samples=n, seed=5)]
-            if kind == "histogram":
-                ests.append(EstimatorSpec(method="semianalytical", c=n, seed=5))
-            for est in ests:
-                for subset in subsets:
-                    prob = classify_field(field, est, channels=subset)
-                    for r, c in itertools.product(range(1, 5), repeat=2):
-                        key = dict(seed=5, pixel=pixel_index(field, r, c))
-                        case = case_at(field, r, c)
-                        if est.method == "monte_carlo":
-                            want = dict(zip(CHANNELS, mc_all_patterns(case, n, **key)))
-                        else:
-                            want = {ch: semianalytical_prob(case, ch, n, **key) for ch in subset}
-                        for ch in CHANNELS:
-                            got = prob.channel(ch)[r, c]
-                            assert got == (want[ch] if ch in subset else 0.0)
+        field = small_field("histogram", seed=12, shape=(6, 6))
+        est = EstimatorSpec(method="semianalytical", c=n, seed=5)
+        for subset in subsets:
+            prob = classify_field(field, est, channels=subset)
+            for r, c in itertools.product(range(1, 5), repeat=2):
+                key = dict(seed=5, pixel=pixel_index(field, r, c))
+                case = case_at(field, r, c)
+                want = {ch: semianalytical_prob(case, ch, n, **key) for ch in subset}
+                for ch in CHANNELS:
+                    got = prob.channel(ch)[r, c]
+                    assert got == (want[ch] if ch in subset else 0.0)
 
     def test_mc_chunking_boundary(self):
-        # sample count large enough to force several chunks per worker
+        # more draws than TILE_DRAWS, and 3 interior rows split 2 + 1 on
+        # two workers and 1 + 1 + 1 on three
         field = small_field("uniform", seed=9, shape=(5, 9))
-        est = EstimatorSpec(method="monte_carlo", n_samples=150_000, seed=3)
-        prob = classify_field(field, est)
-        r, c = 2, 5
-        trip = mc_all_patterns(
-            case_at(field, r, c), 150_000, seed=3, pixel=pixel_index(field, r, c)
-        )
-        assert prob.p_min[r, c] == trip.p_min
+        n = 150_000
+        assert n > engine.TILE_DRAWS
+        est = EstimatorSpec(method="monte_carlo", n_samples=n, seed=3)
+        want = {
+            (r, c): shared_draw_fractions(field, r, c, n, seed=3)
+            for r, c in itertools.product(range(1, 4), range(1, 8))
+        }
+        for workers in (1, 2, 3):
+            prob = classify_field(field, est, workers=workers)
+            for (r, c), fractions in want.items():
+                for ch in CHANNELS:
+                    assert prob.channel(ch)[r, c] == fractions[ch]
+
+    def test_mc_tile_layout_does_not_change_results(self, monkeypatch):
+        # one-draw blocks (more than 255 per tile), tiles of one reach,
+        # and the default layout, on 1, 2 and 3 workers
+        est = EstimatorSpec(method="monte_carlo", n_samples=600, seed=2)
+        for kind in ("uniform", "histogram", "gaussian"):
+            field = small_field(kind, seed=15, shape=(9, 7))
+            want = classify_field(field, est)
+            for tile_draws, reaches in ((1, 4), (700, 1), (engine.TILE_DRAWS, 4)):
+                monkeypatch.setattr(engine, "TILE_DRAWS", tile_draws)
+                monkeypatch.setattr(engine, "_TILE_REACHES", reaches)
+                for workers in (1, 2, 3):
+                    got = classify_field(field, est, workers=workers)
+                    for ch in CHANNELS:
+                        assert np.array_equal(got.channel(ch), want.channel(ch))
+            monkeypatch.undo()
 
 
 class TestDegeneratePixels:
