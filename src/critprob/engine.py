@@ -41,24 +41,29 @@ Gaussian), made once and read by each of the up to five stencils that
 hold p.  Every stencil still sees five independent draws from its five
 distributions, so each pixel's estimate keeps its Binomial(n, p) / n
 law, but the estimates of neighboring pixels are correlated.  The
-kernel draws a set of distributions and counts stencils given as
-columns of distribution indices.  A grid chunk is whole interior rows
-plus the row above and below; tiles of consecutive stencils draw the
-pixels they read, their own rows and one more above and below, in
-blocks of ``TILE_DRAWS`` stencil draws.  The semianalytical estimator
-walks each chunk in tiles of ``max(1, TILE_DRAWS // c)`` pixels for
-``c`` center draws per pixel.  Every tile fills the same buffers in
-place (counter-based uniform draws, the inverse-CDF transform, the
-pattern flags), so memory is set by the tile, not by the chunk or the
-draw count, and stays in cache.  Draws are keyed by pixel and counts
-are integers, so tiles change no result.
+kernel counts the stencils of a block of rows.  A grid chunk is whole
+interior rows plus the row above and below; a tile of stencil rows
+draws its rows and one more above and below into one (rows, width,
+draws) buffer per block of ``TILE_DRAWS`` stencil draws.  Two adjacent
+pixels are compared once per block, over shifted slices of that
+buffer, and both stencils that hold the pair read the result; each
+channel then joins a stencil's east/west flags with its north/south
+flags, as the closed form multiplies its ``ew`` and ``ns`` factors.
+The semianalytical estimator walks each chunk in tiles of
+``max(1, TILE_DRAWS // c)`` pixels for ``c`` center draws per pixel.
+Every tile fills the same buffers in place (counter-based uniform
+draws, the inverse-CDF transform, the comparison flags), so memory is
+set by the tile, not by the chunk or the draw count, and stays in
+cache.  Draws are keyed by pixel and counts are integers, so tiles
+change no result.
 
 The single-case estimators run the same kernels on one stencil.  In
 ``mc_all_patterns`` the case's distributions take consecutive planes
-of the streams of the case's ``pixel`` key, center first, so a grid
-pixel, whose neighbors draw from their own streams, differs from the
-Monte Carlo estimate of its case; ``semianalytical_prob`` gives its
-grid pixel's value bit for bit.
+of the streams of the case's ``pixel`` key, center first, and fill the
+center and the four edge cells of a 3 x 3 block; the corners are never
+drawn or read.  So a grid pixel, whose neighbors draw from their own
+streams, differs from the Monte Carlo estimate of its case;
+``semianalytical_prob`` gives its grid pixel's value bit for bit.
 
 With more than one worker, closed-form chunks run on a thread pool:
 the kernel is a short run of vectorized numpy passes, which release the
@@ -250,55 +255,15 @@ def _fold(ufunc, arrays, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pattern_flags(xs, patterns, scratch: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Which joint draws match each pattern, as bool arrays.
-
-    ``xs`` holds draws for center then neighbors; arrays may carry a
-    leading pixel axis.  Comparisons are strict, so ties count against
-    every pattern.  ``scratch`` is a bool work area of shape
-    (2 * neighbors + 3, *xs[0].shape), allocated when not given, and
-    the flags returned are views of it; only the comparisons a
-    requested pattern needs are made.
-    """
-    c, nbrs = xs[0], xs[1:]
-    k = len(nbrs)
-    if scratch is None:
-        scratch = np.empty((2 * k + 3,) + c.shape, dtype=bool)
-    below, above, acc = scratch[:k], scratch[k : 2 * k], scratch[2 * k :]
-    if "min" in patterns or "saddle" in patterns:
-        for i in range(k):
-            np.less(c, nbrs[i], out=below[i])
-    if "max" in patterns or "saddle" in patterns:
-        for i in range(k):
-            np.greater(c, nbrs[i], out=above[i])
-    out = {}
-    if "min" in patterns:
-        out["min"] = _fold(np.logical_and, below, acc[0])
-    if "max" in patterns:
-        out["max"] = _fold(np.logical_and, above, acc[1])
-    if "saddle" in patterns:
-        # below the first neighbor of each axis pair (east, west) and
-        # above the second (north, south), or the reverse; the two
-        # terms use disjoint planes, so the second folds in place
-        first = [below[i] if i % 2 == 0 else above[i] for i in range(k)]
-        second = [above[i] if i % 2 == 0 else below[i] for i in range(k)]
-        either = _fold(np.logical_and, first, acc[2])
-        either |= _fold(np.logical_and, second, second[0])
-        out["saddle"] = either
-    return out
-
-
-def _pattern_stats(xs, patterns) -> dict[str, np.ndarray]:
-    """Counts of joint draws matching each pattern, along the last axis."""
-    flags = _pattern_flags(xs, patterns)
-    return {p: np.count_nonzero(f, axis=-1) for p, f in flags.items()}
-
-
 def _case_sampler(d):
     """Sampler of one distribution as a one-pixel batch (see ``_sampler``)."""
     if isinstance(d, GaussianSampler):
         return 2, box_muller, (np.array([[d.mean]]), np.array([[d.stddev]]))
     return 1, *d.sampler()
+
+
+# cells of center, east, north, west and south in a 3 x 3 block
+_CASE_CELLS = (4, 5, 1, 3, 7)
 
 
 def mc_all_patterns(
@@ -316,12 +281,16 @@ def mc_all_patterns(
     samplers = [_case_sampler(d) for d in (case.center, *case.neighbors)]
     first = np.cumsum([0] + [per for per, _, _ in samplers])
     keys = rngstream.stream_keys(seed, [pixel], int(first[-1]))
-    entities = [
-        (keys[:, a:b], kernel, params)
-        for (_, kernel, params), a, b in zip(samplers, first[:-1], first[1:])
+    groups = [
+        (cell, keys[:, a:b], kernel, params)
+        for cell, (_, kernel, params), a, b in zip(_CASE_CELLS, samplers, first[:-1], first[1:])
     ]
-    stencil = np.arange(len(samplers))[None, :]
-    stats = _mc_chunk(entities, stencil, n, PATTERNS)
+    if len(case.neighbors) == 2:
+        # west and south draw the east and north streams again, so each
+        # axis pair holds one neighbor twice and the patterns are those
+        # of the two neighbors
+        groups += [(cell, *group[1:]) for cell, group in zip(_CASE_CELLS[3:], groups[1:])]
+    stats = _mc_chunk(groups, 3, 3, n, PATTERNS)
     return ProbabilityTriple(*(float(stats[p][0]) for p in PATTERNS))
 
 
@@ -719,14 +688,18 @@ def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
 
 # Draws per tile of the sampling kernels: pixels times draws for the
 # semianalytical kernel, stencils times draws per block for Monte Carlo
-# (516 stencils of a 64-wide field at 63 draws).  The Monte Carlo
-# buffers take about 90 bytes per stencil draw: splitmix64 scratch, the
-# uniform plane and the draws of the tile's pixels, each position's
-# gathered draws, the pattern flags and the hit counters.  Measured on a
-# 2-core x86 host (48 KiB L1d, 2 MiB L2 per core), Monte Carlo (2000) of
-# a 64 x 64 field on one worker, median of 5 runs, uniform / histogram(5)
-# / Gaussian: 8192 draws 0.28 / 0.58 / 0.72 s, 16384 0.26 / 0.57 / 0.59,
-# 32768 0.18 / 0.41 / 0.45, 65536 0.19 / 0.37 / 0.53.
+# (8 rows of a 64-wide field, 496 stencils, at 66 draws).  A Monte Carlo
+# block takes about 32 bytes per drawn pixel (splitmix64 scratch, the
+# uniform plane, the draws) and 12 per stencil (comparison and pair
+# flags, hit counters): about 53 bytes per stencil draw on a 64-wide
+# grid, and about 110 for a single case, whose 3 x 3 block holds the draws of
+# nine cells.  Measured on a 2-core x86 host (48 KiB L1d, 2 MiB L2 per
+# core), Monte Carlo (2000) of a 64 x 64 field on one worker, median of
+# 5 runs, uniform / histogram(5) / Gaussian: 8192 draws 0.19 / 0.42 /
+# 0.59 s, 16384 0.14 / 0.34 / 0.48, 32768 0.12 / 0.34 / 0.47, 65536
+# 0.10 / 0.29 / 0.46.  The larger grid blocks would double a single
+# case's: a uniform case at 10^6 draws peaks at 8.0 MiB at 65536, 4.0 MiB
+# here.
 TILE_DRAWS = 32768
 
 
@@ -750,37 +723,30 @@ def _sampler(kind: str, p: dict[str, np.ndarray]):
     return 1, *icdf_sampler(kind, *_support_bounds(kind, p), p.get("weights"))
 
 
-# Stencils per Monte Carlo tile, at least, in units of a stencil's reach:
-# the span of distribution indices one stencil reads, 2 * width + 1 on a
-# grid.  A tile draws every distribution in the span its stencils read,
-# about one reach more than its stencils, and neighboring tiles draw that
-# halo again, so the repeated draws stay near 1 / _TILE_REACHES; more
-# reaches make shorter draw blocks.  On the host of the TILE_DRAWS
-# figures, uniform Monte Carlo (2000) of a 64 x 64 field on one worker,
-# median of 5 runs: 1, 2, 4, 8 and 16 reaches took 0.26, 0.21, 0.19,
-# 0.19 and 0.21 s.
-_TILE_REACHES = 4
+# Stencil rows per Monte Carlo tile, at least.  A tile draws its own rows
+# and one more above and below, which the neighboring tiles draw again,
+# so the repeated draws stay near 2 / _TILE_ROWS; more rows make shorter
+# draw blocks.  On the host of the TILE_DRAWS figures, Monte Carlo (2000)
+# of a 64 x 64 field on one worker, median of 5 runs, uniform /
+# histogram(5): 4 rows 0.16 / 0.43 s, 8 rows 0.14 / 0.36, 16 rows 0.15 /
+# 0.37, 32 rows 0.15 / 0.37, and the whole chunk 0.16 / 0.39.
+_TILE_ROWS = 8
 
 
-def _mc_tiles(stencils: np.ndarray, n: int):
-    """Draws per block and the stencil tiles of the Monte Carlo kernel.
+def _mc_tiles(rows: int, width: int, n: int):
+    """Draws per block and the row tiles of the Monte Carlo kernel.
 
-    A tile is a run of consecutive stencils, ``TILE_DRAWS // n`` of them
-    or ``_TILE_REACHES`` reaches if that is more, and takes its draws in
-    blocks of ``TILE_DRAWS`` stencil draws in all.  Each tile is given as
-    (stencil slice, first distribution, distribution count).
+    A tile is a run of stencil rows, enough for ``TILE_DRAWS // n``
+    stencils or ``_TILE_ROWS`` rows if that is more, and takes its draws
+    in blocks of ``TILE_DRAWS`` stencil draws in all.  Each tile is given
+    as the slice of block rows it draws, its stencil rows plus the row
+    above and below.
     """
-    lo = stencils.min(axis=1)
-    hi = stencils.max(axis=1) + 1
-    count = stencils.shape[0]
-    size = min(count, max(TILE_DRAWS // n, _TILE_REACHES * int((hi - lo).max())))
-    width = min(n, max(1, TILE_DRAWS // size))
-    tiles = []
-    for a in range(0, count, size):
-        sl = slice(a, min(a + size, count))
-        first = int(lo[sl].min())
-        tiles.append((sl, first, int(hi[sl].max()) - first))
-    return width, tiles
+    inner = width - 2
+    size = min(rows - 2, max(_TILE_ROWS, -(-(TILE_DRAWS // n) // inner)))
+    draws = min(n, max(1, TILE_DRAWS // (size * inner)))
+    tiles = [slice(r - 1, min(r + size, rows - 1) + 1) for r in range(1, rows - 1, size)]
+    return draws, tiles
 
 
 def _shaped(buf: np.ndarray, *shape: int) -> np.ndarray:
@@ -788,75 +754,104 @@ def _shaped(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _mc_chunk(entities, stencils, n, channels) -> dict[str, np.ndarray]:
-    """Monte Carlo fractions of a batch of stencils over shared draws.
+def _mc_chunk(groups, rows, width, n, channels) -> dict[str, np.ndarray]:
+    """Monte Carlo fractions of the stencils of a block of cells.
 
-    ``entities`` lists groups of distributions as (keys, kernel,
-    params): the (m, planes) stream keys of m distributions, and the
-    ``_sampler`` kernel and parameters that turn their uniform planes
-    into draws.  Distributions are numbered through the groups in
-    order, and ``stencils`` is an (S, positions) array of those numbers,
-    center first.  Draw i of a distribution is counter i of its streams,
-    made once per block of a tile and read by every stencil of the tile
-    that holds the distribution, so stencils that share a distribution
-    see the same value.
+    The block is ``rows`` x ``width`` cells, and a stencil is centered on
+    every cell off its edge, in row-major order.  ``groups`` lists sets
+    of distributions as (first, keys, kernel, params): the (m, planes)
+    stream keys of m distributions, which fill the flat cells first ..
+    first + m - 1, and the ``_sampler`` kernel and parameters that turn
+    their uniform planes into draws.  Draw i of a cell is counter i of
+    its streams, made once per block of a tile and read by every stencil
+    of the tile that holds the cell, so stencils that share a cell see
+    the same value.  A cell no stencil reads may be left out.
+
+    The comparisons of two adjacent cells are made once, over shifted
+    slices of the draws, for each horizontal pair of a stencil row and
+    each vertical pair of an inner column; every stencil reads its east
+    and west, north and south flags from those planes.  Each channel
+    then joins the east/west flags with the north/south ones, as the
+    closed form multiplies its pair factors.  Comparisons are strict, so
+    ties count against every pattern.
 
     Every block reuses the same buffers: the uniform planes, the draws,
-    each position's gathered draws and the pattern flags.  Matches add up
-    in uint8 counters, moved to the int64 counts every 255 blocks and at
-    the end of a tile.  Counts are integers, divided by ``n`` once, so
-    the tile and block layout changes no result.
+    the comparison and pair flags.  Matches add up in uint8 counters,
+    moved to the int64 counts every 255 blocks and at the end of a tile.
+    Counts are integers, divided by ``n`` once, so the tile and block
+    layout changes no result.
     """
-    width, tiles = _mc_tiles(stencils, n)
-    bounds = np.cumsum([0] + [keys.shape[0] for keys, _, _ in entities])
-    groups = list(zip(entities, bounds[:-1], bounds[1:]))
-    # the most distributions one tile draws, and one group of them
-    span = max(count for _, _, count in tiles)
+    draws, tiles = _mc_tiles(rows, width, n)
+    inner = width - 2
+    size = max(sl.stop - sl.start for sl in tiles)  # block rows of a tile
+    # the most cells of one group that one tile draws
     piece = max(
-        min(g1, first + count) - max(g0, first)
-        for _, first, count in tiles
-        for _, g0, g1 in groups
+        min(first + keys.shape[0], sl.stop * width) - max(first, sl.start * width)
+        for sl in tiles
+        for first, keys, _, _ in groups
     )
-    size = max(sl.stop - sl.start for sl, _, _ in tiles)
-    k = stencils.shape[1]
-    scratch = np.empty(2 * piece * width, dtype=np.uint64)
-    u = np.empty(max(keys.shape[1] for keys, _, _ in entities) * piece * width)
-    xs = np.empty(span * width)
-    picks = np.empty(k * size * width)
-    flags = np.empty((2 * k + 1) * size * width, dtype=bool)
-    hits = np.empty(len(channels) * size * width, dtype=np.uint8)
-    counts = {ch: np.zeros(stencils.shape[0], dtype=np.int64) for ch in channels}
-    for sl, first, count in tiles:
-        s = sl.stop - sl.start
-        local = stencils[sl] - first
-        tile_hits = _shaped(hits, len(channels), s, width)
+    scratch = np.empty(2 * piece * draws, dtype=np.uint64)
+    u = np.empty(max(keys.shape[1] for _, keys, _, _ in groups) * piece * draws)
+    xs = np.empty(size * width * draws)
+    # each cell below and above its right neighbor in a stencil row, and
+    # its lower neighbor in an inner column
+    across = np.empty(2 * (size - 2) * (width - 1) * draws, dtype=bool)
+    down = np.empty(2 * (size - 1) * inner * draws, dtype=bool)
+    # the center below and above its east/west pair, its north/south
+    # pair, and one channel's term
+    pairs = np.empty(5 * (size - 2) * inner * draws, dtype=bool)
+    hits = np.empty(len(channels) * (size - 2) * inner * draws, dtype=np.uint8)
+    counts = {ch: np.zeros((rows - 2) * inner, dtype=np.int64) for ch in channels}
+    for sl in tiles:
+        t = sl.stop - sl.start - 2  # stencil rows
+        c0, c1 = sl.start * width, sl.stop * width
+        tile_stencils = slice(sl.start * inner, (sl.start + t) * inner)
+        tile_hits = _shaped(hits, len(channels), t, inner, draws)
         tile_hits.fill(0)
-        for block, start in enumerate(range(0, n, width)):
-            ctr = rngstream.counters(start, min(start + width, n))
+        for block, start in enumerate(range(0, n, draws)):
+            ctr = rngstream.counters(start, min(start + draws, n))
             m = ctr.size
-            x = _shaped(xs, count, m)
-            for (keys, kernel, params), g0, g1 in groups:
-                a0, a1 = max(g0, first), min(g1, first + count)
+            x = _shaped(xs, t + 2, width, m)
+            cells = x.reshape(-1, m)
+            for first, keys, kernel, params in groups:
+                a0, a1 = max(first, c0), min(first + keys.shape[0], c1)
                 if a0 >= a1:
                     continue
-                rows = slice(a0 - g0, a1 - g0)
+                own = slice(a0 - first, a1 - first)
                 planes = _shaped(u, keys.shape[1], a1 - a0, m)
                 for q, plane in enumerate(planes):
                     rngstream.fill_units(
-                        keys[rows, q], ctr, plane, _shaped(scratch, 2, a1 - a0, m)
+                        keys[own, q], ctr, plane, _shaped(scratch, 2, a1 - a0, m)
                     )
-                kernel(*(p[rows] for p in params), *planes, x[a0 - first : a1 - first])
-            pos = _shaped(picks, k, s, m)
-            # the indices are in range; mode "clip" writes straight into
-            # ``out``, where "raise" goes through a buffer
-            for i in range(k):
-                np.take(x, local[:, i], axis=0, out=pos[i], mode="clip")
-            found = _pattern_flags(pos, channels, _shaped(flags, 2 * k + 1, s, m))
+                kernel(*(p[own] for p in params), *planes, cells[a0 - c0 : a1 - c0])
+            h, v = x[1:-1], x[:, 1:-1]  # stencil rows, inner columns
+            lt_h, gt_h = _shaped(across, 2, t, width - 1, m)
+            lt_v, gt_v = _shaped(down, 2, t + 1, inner, m)
+            np.less(h[:, :-1], h[:, 1:], out=lt_h)
+            np.greater(h[:, :-1], h[:, 1:], out=gt_h)
+            np.less(v[:-1], v[1:], out=lt_v)
+            np.greater(v[:-1], v[1:], out=gt_v)
+            ew_b, ew_a, ns_b, ns_a, term = _shaped(pairs, 5, t, inner, m)
+            np.logical_and(lt_h[:, 1:], gt_h[:, :-1], out=ew_b)
+            np.logical_and(gt_h[:, 1:], lt_h[:, :-1], out=ew_a)
+            np.logical_and(gt_v[:-1], lt_v[1:], out=ns_b)
+            np.logical_and(lt_v[:-1], gt_v[1:], out=ns_a)
             for i, ch in enumerate(channels):
-                np.add(tile_hits[i, :, :m], found[ch].view(np.uint8), out=tile_hits[i, :, :m])
-            if block % 255 == 254 or start + width >= n:
+                acc = tile_hits[i, ..., :m]
+                if ch == "min":
+                    np.logical_and(ew_b, ns_b, out=term)
+                elif ch == "max":
+                    np.logical_and(ew_a, ns_a, out=term)
+                else:
+                    # the two saddle terms are disjoint, since the center
+                    # cannot be both below and above its east neighbor
+                    np.add(acc, np.logical_and(ew_b, ns_a, out=term).view(np.uint8), out=acc)
+                    np.logical_and(ew_a, ns_b, out=term)
+                np.add(acc, term.view(np.uint8), out=acc)
+            if block % 255 == 254 or start + draws >= n:
                 for i, ch in enumerate(channels):
-                    counts[ch][sl] += tile_hits[i].sum(axis=-1, dtype=np.int64)
+                    found = tile_hits[i].sum(axis=-1, dtype=np.int64)
+                    counts[ch][tile_stencils] += found.reshape(-1)
                 tile_hits.fill(0)
     return {ch: counts[ch] / n for ch in channels}
 
@@ -916,13 +911,14 @@ def _chunk_task(payload) -> dict[str, np.ndarray]:
     method, kind, band, origin, centers, estimator, channels = payload
     rows, width = next(iter(band.values())).shape[:2]
     params = _band_params(band)
-    # center, east, north, west, south
-    stencils = centers[:, None] + np.array([0, 1, -width, -1, width])
     if method == "monte_carlo":
+        # the chunk's pixels are every interior pixel of the band's inner rows
         per, kernel, columns = _sampler(kind, params)
         pixels = origin + np.arange(rows * width)
         keys = rngstream.stream_keys(estimator.seed, pixels, per)
-        return _mc_chunk([(keys, kernel, columns)], stencils, estimator.n_samples, channels)
+        return _mc_chunk([(0, keys, kernel, columns)], rows, width, estimator.n_samples, channels)
+    # center, east, north, west, south
+    stencils = centers[:, None] + np.array([0, 1, -width, -1, width])
     pos = [{name: arr[stencils[:, i]] for name, arr in params.items()} for i in range(5)]
     if method == "closed_form":
         return _closed_chunk(kind, pos, channels)
