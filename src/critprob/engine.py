@@ -44,7 +44,7 @@ law, but the estimates of neighboring pixels are correlated.  The
 kernel counts the stencils of a block of rows.  A grid chunk is whole
 interior rows plus the row above and below; a tile of stencil rows
 draws its rows and one more above and below into one (rows, width,
-draws) buffer per block of ``TILE_DRAWS`` stencil draws.  Two adjacent
+draws) buffer per block of ``GRID_DRAWS`` stencil draws.  Two adjacent
 pixels are compared once per block, over shifted slices of that
 buffer, and both stencils that hold the pair read the result; each
 channel then joins a stencil's east/west flags with its north/south
@@ -60,17 +60,21 @@ change no result.
 The single-case estimators run the same kernels on one stencil.  In
 ``mc_all_patterns`` the case's distributions take consecutive planes
 of the streams of the case's ``pixel`` key, center first, and fill the
-center and the four edge cells of a 3 x 3 block; the corners are never
-drawn or read.  So a grid pixel, whose neighbors draw from their own
-streams, differs from the Monte Carlo estimate of its case;
+center and the four edge cells of a 3 x 3 block, in blocks of
+``TILE_DRAWS`` draws; the corners are never drawn or read, and a
+2-neighbor case copies its east and north draws to the west and south.
+So a grid pixel, whose neighbors draw from their own streams, differs from the Monte Carlo estimate of its case;
 ``semianalytical_prob`` gives its grid pixel's value bit for bit.
 
-With more than one worker, closed-form chunks run on a thread pool:
-the kernel is a short run of vectorized numpy passes, which release the
-interpreter lock, and threads share the parameter arrays, where a
-process pool forks a worker and pickles every chunk.  The sampling and
-combinatorial estimators run on a process pool, because their tile and
-bin loops are Python code that holds the lock.
+With more than one worker, closed-form and Monte Carlo chunks run on a
+thread pool: each kernel is a short run of vectorized numpy passes per
+plane or block, which release the interpreter lock, and threads share
+the parameter arrays, where a process pool forks a worker, with its own
+copy of the interpreter, and pickles every chunk.  The semianalytical
+and combinatorial estimators run on a process pool: the combinatorial
+bin loop is Python code that holds the lock, and the semianalytical
+tiles make many short numpy calls; both ran slower on two threads than
+on two processes.
 """
 
 from __future__ import annotations
@@ -285,12 +289,13 @@ def mc_all_patterns(
         (cell, keys[:, a:b], kernel, params)
         for cell, (_, kernel, params), a, b in zip(_CASE_CELLS, samplers, first[:-1], first[1:])
     ]
+    copies = ()
     if len(case.neighbors) == 2:
-        # west and south draw the east and north streams again, so each
+        # west and south hold copies of the east and north draws, so each
         # axis pair holds one neighbor twice and the patterns are those
         # of the two neighbors
-        groups += [(cell, *group[1:]) for cell, group in zip(_CASE_CELLS[3:], groups[1:])]
-    stats = _mc_chunk(groups, 3, 3, n, PATTERNS)
+        copies = tuple(zip(_CASE_CELLS[3:], _CASE_CELLS[1:3]))
+    stats = _mc_chunk(groups, 3, 3, n, PATTERNS, TILE_DRAWS, copies)
     return ProbabilityTriple(*(float(stats[p][0]) for p in PATTERNS))
 
 
@@ -686,21 +691,29 @@ def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
     return {ch: sums[ch].sum(axis=1) for ch in channels}
 
 
-# Draws per tile of the sampling kernels: pixels times draws for the
-# semianalytical kernel, stencils times draws per block for Monte Carlo
-# (8 rows of a 64-wide field, 496 stencils, at 66 draws).  A Monte Carlo
-# block takes about 32 bytes per drawn pixel (splitmix64 scratch, the
-# uniform plane, the draws) and 12 per stencil (comparison and pair
-# flags, hit counters): about 53 bytes per stencil draw on a 64-wide
-# grid, and about 110 for a single case, whose 3 x 3 block holds the draws of
-# nine cells.  Measured on a 2-core x86 host (48 KiB L1d, 2 MiB L2 per
-# core), Monte Carlo (2000) of a 64 x 64 field on one worker, median of
-# 5 runs, uniform / histogram(5) / Gaussian: 8192 draws 0.19 / 0.42 /
-# 0.59 s, 16384 0.14 / 0.34 / 0.48, 32768 0.12 / 0.34 / 0.47, 65536
-# 0.10 / 0.29 / 0.46.  The larger grid blocks would double a single
-# case's: a uniform case at 10^6 draws peaks at 8.0 MiB at 65536, 4.0 MiB
-# here.
+# Draws per tile of the semianalytical kernel (pixels times draws) and
+# per block of single-case Monte Carlo.  A Monte Carlo block takes about
+# 32 bytes per drawn cell (splitmix64 scratch, the uniform plane, the
+# draws) and 12 per stencil (comparison and pair flags, hit counters);
+# a single case's 3 x 3 block holds nine cells for its one stencil, about
+# 110 bytes per draw, so a uniform case at 10^6 draws peaks at 4.0 MiB
+# here, against 8.0 MiB at 65536.
 TILE_DRAWS = 32768
+
+# Stencil draws per block of grid Monte Carlo, about 53 bytes each on a
+# 64-wide grid, so a block of a 64 x 64 uniform field peaks at 3.7 MiB
+# (tracemalloc; 2.0 at 32768, 7.0 at 131072).  Fewer draws per block
+# mean more numpy calls per draw (about 45 per block) and, on the thread
+# pool, more passes of the interpreter lock.  Measured on a 2-core x86
+# host (48 KiB L1d, 2 MiB L2 per core), Monte Carlo (2000) of a 64 x 64
+# Ackley field, uniform / histogram(5) / Gaussian, the best of 3 calls,
+# median of 5 interleaved rounds, at 1 worker and at 2 workers:
+#    16384  0.160 / 0.406 / 0.549 s   0.155 / 0.306 / 0.371 s
+#    32768  0.128 / 0.335 / 0.461     0.099 / 0.196 / 0.292
+#    65536  0.107 / 0.331 / 0.468     0.079 / 0.192 / 0.265
+#    98304  0.116 / 0.305 / 0.515     0.076 / 0.189 / 0.295
+#   131072  0.133 / 0.344 / 0.540     0.080 / 0.202 / 0.284
+GRID_DRAWS = 65536
 
 
 def _tiles(npix: int, n: int):
@@ -726,25 +739,26 @@ def _sampler(kind: str, p: dict[str, np.ndarray]):
 # Stencil rows per Monte Carlo tile, at least.  A tile draws its own rows
 # and one more above and below, which the neighboring tiles draw again,
 # so the repeated draws stay near 2 / _TILE_ROWS; more rows make shorter
-# draw blocks.  On the host of the TILE_DRAWS figures, Monte Carlo (2000)
-# of a 64 x 64 field on one worker, median of 5 runs, uniform /
-# histogram(5): 4 rows 0.16 / 0.43 s, 8 rows 0.14 / 0.36, 16 rows 0.15 /
-# 0.37, 32 rows 0.15 / 0.37, and the whole chunk 0.16 / 0.39.
+# draw blocks.  On the host of the GRID_DRAWS figures, at 32768 stencil
+# draws per block, Monte Carlo (2000) of a 64 x 64 field on one worker,
+# median of 5 runs, uniform / histogram(5): 4 rows 0.16 / 0.43 s, 8 rows
+# 0.14 / 0.36, 16 rows 0.15 / 0.37, 32 rows 0.15 / 0.37, and the whole
+# chunk 0.16 / 0.39.
 _TILE_ROWS = 8
 
 
-def _mc_tiles(rows: int, width: int, n: int):
+def _mc_tiles(rows: int, width: int, n: int, budget: int):
     """Draws per block and the row tiles of the Monte Carlo kernel.
 
-    A tile is a run of stencil rows, enough for ``TILE_DRAWS // n``
-    stencils or ``_TILE_ROWS`` rows if that is more, and takes its draws
-    in blocks of ``TILE_DRAWS`` stencil draws in all.  Each tile is given
-    as the slice of block rows it draws, its stencil rows plus the row
-    above and below.
+    A tile is a run of stencil rows, enough for ``budget // n`` stencils
+    or ``_TILE_ROWS`` rows if that is more, and takes its draws in blocks
+    of ``budget`` stencil draws in all.  Each tile is given as the slice
+    of block rows it draws, its stencil rows plus the row above and
+    below.
     """
     inner = width - 2
-    size = min(rows - 2, max(_TILE_ROWS, -(-(TILE_DRAWS // n) // inner)))
-    draws = min(n, max(1, TILE_DRAWS // (size * inner)))
+    size = min(rows - 2, max(_TILE_ROWS, -(-(budget // n) // inner)))
+    draws = min(n, max(1, budget // (size * inner)))
     tiles = [slice(r - 1, min(r + size, rows - 1) + 1) for r in range(1, rows - 1, size)]
     return draws, tiles
 
@@ -754,7 +768,7 @@ def _shaped(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _mc_chunk(groups, rows, width, n, channels) -> dict[str, np.ndarray]:
+def _mc_chunk(groups, rows, width, n, channels, budget, copies=()) -> dict[str, np.ndarray]:
     """Monte Carlo fractions of the stencils of a block of cells.
 
     The block is ``rows`` x ``width`` cells, and a stencil is centered on
@@ -765,7 +779,10 @@ def _mc_chunk(groups, rows, width, n, channels) -> dict[str, np.ndarray]:
     their uniform planes into draws.  Draw i of a cell is counter i of
     its streams, made once per block of a tile and read by every stencil
     of the tile that holds the cell, so stencils that share a cell see
-    the same value.  A cell no stencil reads may be left out.
+    the same value.  A cell no stencil reads may be left out.  Blocks
+    hold about ``budget`` stencil draws (see ``_mc_tiles``).  ``copies``
+    lists (cell, source) pairs of a block drawn in one tile: the cell
+    takes the source cell's draws instead of drawing its own.
 
     The comparisons of two adjacent cells are made once, over shifted
     slices of the draws, for each horizontal pair of a stencil row and
@@ -781,7 +798,7 @@ def _mc_chunk(groups, rows, width, n, channels) -> dict[str, np.ndarray]:
     Counts are integers, divided by ``n`` once, so the tile and block
     layout changes no result.
     """
-    draws, tiles = _mc_tiles(rows, width, n)
+    draws, tiles = _mc_tiles(rows, width, n, budget)
     inner = width - 2
     size = max(sl.stop - sl.start for sl in tiles)  # block rows of a tile
     # the most cells of one group that one tile draws
@@ -824,6 +841,8 @@ def _mc_chunk(groups, rows, width, n, channels) -> dict[str, np.ndarray]:
                         keys[own, q], ctr, plane, _shaped(scratch, 2, a1 - a0, m)
                     )
                 kernel(*(p[own] for p in params), *planes, cells[a0 - c0 : a1 - c0])
+            for cell, source in copies:
+                cells[cell] = cells[source]
             h, v = x[1:-1], x[:, 1:-1]  # stencil rows, inner columns
             lt_h, gt_h = _shaped(across, 2, t, width - 1, m)
             lt_v, gt_v = _shaped(down, 2, t + 1, inner, m)
@@ -916,7 +935,9 @@ def _chunk_task(payload) -> dict[str, np.ndarray]:
         per, kernel, columns = _sampler(kind, params)
         pixels = origin + np.arange(rows * width)
         keys = rngstream.stream_keys(estimator.seed, pixels, per)
-        return _mc_chunk([(0, keys, kernel, columns)], rows, width, estimator.n_samples, channels)
+        return _mc_chunk(
+            [(0, keys, kernel, columns)], rows, width, estimator.n_samples, channels, GRID_DRAWS
+        )
     # center, east, north, west, south
     stencils = centers[:, None] + np.array([0, 1, -width, -1, width])
     pos = [{name: arr[stencils[:, i]] for name, arr in params.items()} for i in range(5)]
@@ -996,7 +1017,8 @@ def classify_field(
     if workers == 1 or len(spans) == 1:
         results = [_chunk_task(p) for p in payloads]
     else:
-        pool_type = ThreadPoolExecutor if method == "closed_form" else ProcessPoolExecutor
+        threaded = method in ("closed_form", "monte_carlo")
+        pool_type = ThreadPoolExecutor if threaded else ProcessPoolExecutor
         with pool_type(max_workers=workers) as pool:
             results = list(pool.map(_chunk_task, payloads))
 

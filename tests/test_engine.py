@@ -625,6 +625,11 @@ class TestEstimatorSpec:
             EstimatorSpec(c=0)
 
 
+class NoProcessPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the closed form and Monte Carlo must not start a process pool")
+
+
 def small_field(kind: str, seed: int = 0, shape=(7, 8), members: int = 24,
                 bins: int = 4) -> UncertainField:
     rng = np.random.default_rng(seed)
@@ -799,10 +804,6 @@ class TestClassifyField:
             assert np.array_equal(one.valid, two.valid)
 
     def test_closed_form_workers_use_no_process_pool(self, monkeypatch):
-        class NoProcessPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("the closed form must not start a process pool")
-
         monkeypatch.setattr(engine, "ProcessPoolExecutor", NoProcessPool)
         # 58 x 58 = 3364 interior pixels: several full closed-form chunks
         # and a partial tail
@@ -813,6 +814,22 @@ class TestClassifyField:
             one = classify_field(field, workers=1)
             for workers in (2, 3):
                 many = classify_field(field, workers=workers)
+                for ch in CHANNELS:
+                    assert np.array_equal(one.channel(ch), many.channel(ch))
+
+    def test_monte_carlo_workers_use_no_process_pool(self, monkeypatch):
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", NoProcessPool)
+        # 28 interior rows: tiles of 22 + 6 rows on one worker, each in
+        # blocks of 297 + 3 draws; chunks of 14 + 14 rows on two workers
+        # and 10 + 10 + 8 on three
+        est = EstimatorSpec(method="monte_carlo", n_samples=300, seed=4)
+        draws, tiles = engine._mc_tiles(30, 12, 300, engine.GRID_DRAWS)
+        assert (draws, [sl.stop - sl.start - 2 for sl in tiles]) == (297, [22, 6])
+        for kind in ("uniform", "histogram", "gaussian"):
+            field = small_field(kind, seed=16, shape=(30, 12), bins=5)
+            one = classify_field(field, est, workers=1)
+            for workers in (2, 3):
+                many = classify_field(field, est, workers=workers)
                 for ch in CHANNELS:
                     assert np.array_equal(one.channel(ch), many.channel(ch))
 
@@ -852,23 +869,25 @@ class TestClassifyField:
 
     def test_fork_after_threaded_closed_form_does_not_warn(self):
         # Python 3.12+ warns (DeprecationWarning) when os.fork() runs while
-        # other threads are alive, so the closed form's thread pool must be
-        # gone before Monte Carlo forks its workers.  The warning is
-        # recorded, not raised, because os.fork() emits it after the child
-        # exists.  A fresh interpreter with one BLAS thread counts only the
-        # threads critprob starts.
+        # other threads are alive, so the thread pools of the closed form
+        # and Monte Carlo must be gone before the semianalytical estimator
+        # forks its workers.  The warning is recorded, not raised, because
+        # os.fork() emits it after the child exists.  A fresh interpreter
+        # with one BLAS thread counts only the threads critprob starts.
         script = "\n".join([
             "import threading, warnings",
             "import numpy as np",
             "from critprob.engine import EstimatorSpec, classify_field",
             "from critprob.fields import EnsembleStack, ModelSpec, UncertainField",
             "stack = EnsembleStack(np.random.default_rng(0).uniform(0, 1, (8, 12, 12)))",
-            "field = UncertainField.from_ensemble(stack, ModelSpec(kind='uniform'))",
+            "field = UncertainField.from_ensemble(stack, ModelSpec(kind='histogram', bins=3))",
             "with warnings.catch_warnings(record=True) as caught:",
             "    warnings.simplefilter('always', DeprecationWarning)",
             "    classify_field(field, workers=2)",
             "    assert threading.active_count() == 1, threading.enumerate()",
-            "    est = EstimatorSpec(method='monte_carlo', n_samples=50)",
+            "    classify_field(field, EstimatorSpec(method='monte_carlo', n_samples=50), workers=2)",
+            "    assert threading.active_count() == 1, threading.enumerate()",
+            "    est = EstimatorSpec(method='semianalytical', c=50)",
             "    classify_field(field, est, workers=2)",
             "forks = [str(w.message) for w in caught if 'multi-threaded' in str(w.message)]",
             "assert not forks, forks",
@@ -936,7 +955,7 @@ class TestClassifyField:
         # on one worker, 8 + 1 and 8 on two, and one tile per chunk of
         # 6 + 6 + 5 rows on three.  Every channel subset is checked, on 1,
         # 2 or 3 workers.
-        tiles = engine._mc_tiles(19, 6, n)[1]
+        tiles = engine._mc_tiles(19, 6, n, engine.GRID_DRAWS)[1]
         assert [sl.stop - sl.start - 2 for sl in tiles] == [8, 8, 1]
         subsets = [s for k in (1, 2, 3) for s in itertools.combinations(CHANNELS, k)]
         est = EstimatorSpec(method="monte_carlo", n_samples=n, seed=5)
@@ -968,11 +987,11 @@ class TestClassifyField:
                     assert got == (want[ch] if ch in subset else 0.0)
 
     def test_mc_chunking_boundary(self):
-        # more draws than TILE_DRAWS, and 3 interior rows split 2 + 1 on
+        # more draws than GRID_DRAWS, and 3 interior rows split 2 + 1 on
         # two workers and 1 + 1 + 1 on three
         field = small_field("uniform", seed=9, shape=(5, 9))
         n = 150_000
-        assert n > engine.TILE_DRAWS
+        assert n > engine.GRID_DRAWS
         est = EstimatorSpec(method="monte_carlo", n_samples=n, seed=3)
         want = {
             (r, c): shared_draw_fractions(field, r, c, n, seed=3)
@@ -986,25 +1005,47 @@ class TestClassifyField:
 
     def test_mc_tile_layout_does_not_change_results(self, monkeypatch):
         # one-draw blocks (more than 255 per tile), blocks of 17 draws
-        # that end in a partial one, and the default layout with 11-row
-        # tiles.  The 18 interior rows of a 20 x 7 field take tiles of
-        # 8 + 8 + 2 rows (11 + 7 by default) on one worker, 8 + 1 per
-        # chunk (one tile by default) on two, and one tile per chunk on
-        # three.
+        # that end in a partial one, 11-row tiles, and the default layout
+        # of one 18-row tile in one block.  The 18 interior rows of a
+        # 20 x 7 field take tiles of 8 + 8 + 2 rows (11 + 7 at 32768, one
+        # tile by default) on one worker, 8 + 1 per chunk (one tile at
+        # 32768 and by default) on two, and one tile per chunk on three.
         est = EstimatorSpec(method="monte_carlo", n_samples=600, seed=2)
-        layouts = {1: (1, [8, 8, 2]), 700: (17, [8, 8, 2]), engine.TILE_DRAWS: (595, [11, 7])}
+        layouts = {
+            1: (1, [8, 8, 2]),
+            700: (17, [8, 8, 2]),
+            32768: (595, [11, 7]),
+            engine.GRID_DRAWS: (600, [18]),
+        }
         for kind in ("uniform", "histogram", "gaussian"):
             field = small_field(kind, seed=15, shape=(20, 7))
             want = classify_field(field, est)
-            for tile_draws, (draws, rows) in layouts.items():
-                monkeypatch.setattr(engine, "TILE_DRAWS", tile_draws)
-                got_draws, tiles = engine._mc_tiles(20, 7, 600)
+            for grid_draws, (draws, rows) in layouts.items():
+                monkeypatch.setattr(engine, "GRID_DRAWS", grid_draws)
+                got_draws, tiles = engine._mc_tiles(20, 7, 600, grid_draws)
                 assert (got_draws, [sl.stop - sl.start - 2 for sl in tiles]) == (draws, rows)
                 for workers in (1, 2, 3):
                     got = classify_field(field, est, workers=workers)
                     for ch in CHANNELS:
                         assert np.array_equal(got.channel(ch), want.channel(ch))
             monkeypatch.undo()
+
+    def test_mc_memory_is_bounded_by_the_block(self):
+        # measured peak 3.66 MiB at 65536 stencil draws per block (1.99 at
+        # 32768, 7.01 at 131072); the bound leaves 20% for other Python
+        # and numpy versions
+        field = UncertainField.from_ensemble(
+            ackley_ensemble(64, 64, members=20, seed=0), ModelSpec(kind="uniform")
+        )
+        est = EstimatorSpec(method="monte_carlo", n_samples=2000, seed=0)
+        classify_field(field, est)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            classify_field(field, est, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.4 * 2**20
 
 
 class TestDegeneratePixels:
