@@ -20,14 +20,24 @@ all three channels.  Each stencil is shifted so the center's support
 is centered on zero; every kink (support end or histogram bin edge of
 the five positions) is clipped to the center's support and sorted once,
 and Gauss-Legendre nodes on each interval between kinks (8 for the
-Epanechnikov model, 3 otherwise) integrate every channel exactly.  What
-does not depend on the node is found once per interval: midpoint and
-half-width, each neighbor's CDF value at the midpoint and its slope,
-histogram bin lookups, and the center density times the half-width.
-The kernel then takes one node at a time: the center weight and the
-four neighbor CDFs at that node are written in place into a fixed set
-of (pixels, intervals) planes, and every channel, a different product
-of the same planes, adds its node term to its own plane.  A chunk holds
+Epanechnikov model, 3 otherwise) integrate every channel exactly.  A
+kink outside the center's support is clipped onto one of its ends, so
+it leaves an interval of zero width, whose node weights are zero and
+whose terms are exactly +0.0; on the Ackley ensembles of perfbench's
+closed-grid workload that is 44% of the uniform and Epanechnikov
+intervals and 24% of the histogram(5) ones.  The rest of the kernel
+runs on the live intervals alone, those of nonzero width, taken as one
+flat list with the pixel row of each.  What does not depend on the
+node is found once per live interval: each neighbor's CDF value at the
+midpoint and its slope, read for histograms from padded slope and CDF
+tables, and the center density times the half-width.  The kernel then
+takes one node at a time: the center weight and the four neighbor CDFs
+at that node are written in place into a fixed (16, live intervals)
+workspace, and every channel, a different product of the same rows,
+adds its node term to its own row.  Each channel's sums are then scattered back into a zeroed
+(pixels, intervals) plane and each pixel's row is summed, so a pixel
+sees the same values in the same order as if every interval had been
+evaluated, and the result is the same to the bit.  A chunk holds
 ``CLOSED_PLANE // intervals`` pixels (9 intervals for uniform and
 Epanechnikov stencils, ``5 * (bins + 1) - 1`` for histograms), so a
 plane has about ``CLOSED_PLANE`` elements and the kernel's working set
@@ -508,81 +518,112 @@ def _centered(kind: str, pos):
     supports far from the origin keep their relative precision.
     """
     if kind == "epanechnikov":
-        origin = pos[_POS_C]["mean"]
+        origin = pos["mean"][_POS_C]
         keys = ("mean",)
     else:
-        origin = 0.5 * (pos[_POS_C]["lo"] + pos[_POS_C]["hi"])
+        origin = 0.5 * (pos["lo"][_POS_C] + pos["hi"][_POS_C])
         keys = ("lo", "hi")
-    return [{**p, **{k: p[k] - origin for k in keys}} for p in pos]
+    return {**pos, **{k: pos[k] - origin for k in keys}}
 
 
-def _closed_kinks(kind: str, pos) -> np.ndarray:
-    if kind == "histogram":
-        cols = []
-        for p in pos:
-            h = p["weights"].shape[1]
-            lo, hi = p["lo"], p["hi"]
-            steps = np.arange(h + 1) / h
-            cols.append(lo[:, None] + (hi - lo)[:, None] * steps[None, :])
-        return np.concatenate(cols, axis=1)
-    cols = []
-    for p in pos:
-        lo, hi = _support_bounds(kind, p)
-        cols.append(np.stack([lo, hi], axis=1))
-    return np.concatenate(cols, axis=1)
+def _closed_kinks(kind: str, pos, lo, hi) -> np.ndarray:
+    """Every kink of each stencil, (pixels, kinks), position by position.
 
-
-def _bin_index(lo, binw, bins: int, x) -> np.ndarray:
-    """Histogram bin holding each point of ``x`` (pixels, intervals)."""
-    j = np.floor((x - lo) / binw).astype(np.intp)
-    return np.clip(j, 0, bins - 1, out=j)
-
-
-def _neighbor_lines(kind: str, p, mid, half):
-    """Neighbor CDFs on each interval, as affine functions of the node.
-
-    ``p`` holds the parameters of one neighbor per row, ``mid`` and
-    ``half`` the (rows, intervals) midpoints and half-widths.  Returns
-    the value at each midpoint and the change per unit node coordinate;
-    the value at node ``x`` is ``at_mid + slope * x``, and for the
-    Epanechnikov model it is the scaled coordinate ``u`` that the CDF
-    cubic takes.  No interval straddles one of the neighbor's kinks, so
-    on each interval its CDF is 0, 1, or a single polynomial piece,
-    found once from the interval midpoint.  Intervals outside the
-    support get zero slope, so their nodes take the tail value exactly.
+    ``lo`` and ``hi`` are the (5, pixels) support bounds.  A support has
+    two kinks, its ends; a histogram has its ``bins + 1`` bin edges.
     """
-    lo, hi = _support_bounds(kind, p)
-    inside = (mid > lo[:, None]) & (mid < hi[:, None])
-    if kind == "epanechnikov":
-        hw = p["halfwidth"][:, None]
-        u_mid = np.clip((mid - p["mean"][:, None]) / hw, -1.0, 1.0)
-        return u_mid, np.where(inside, half / hw, 0.0)
-    if kind == "uniform":
-        slope = (1.0 / (hi - lo))[:, None]
-        at_mid = slope * (mid - lo[:, None])
+    if kind == "histogram":
+        bins = pos["weights"].shape[-1]
+        steps = np.arange(bins + 1) / bins
+        kinks = lo.T[:, :, None] + (hi - lo).T[:, :, None] * steps
     else:
-        lo, binw, wn, cum = histogram_table(lo, hi, p["weights"])
-        j = _bin_index(lo, binw, wn.shape[1], mid)
-        slope = np.take_along_axis(wn, j, axis=1) / binw
-        edge = lo + binw * j
-        at_mid = np.take_along_axis(cum, j, axis=1) + slope * (mid - edge)
-    return np.clip(at_mid, 0.0, 1.0, out=at_mid), np.where(inside, slope * half, 0.0)
+        kinks = np.stack([lo.T, hi.T], axis=2)
+    return kinks.reshape(kinks.shape[0], -1)
+
+
+def _padded_tables(lo, hi, weights):
+    """Bin widths and padded slope and CDF tables of equal-width histograms.
+
+    ``lo`` and ``hi`` are (P,) support bounds and ``weights`` the (P, h)
+    normalized bin masses.  Row r of both (P, h + 2) tables holds a bin
+    below the support, the h bins, and a bin above it: the slopes are
+    (0, w / binw, 0) and the CDF values at the bins' lower edges are
+    (0, cum[:-1], 1), so a bin index clipped to [-1, h], plus one, looks up
+    the CDF piece on either side of the support as well as inside it.
+    """
+    _, binw, wn, cum = histogram_table(lo, hi, weights)
+    slope = np.zeros((wn.shape[0], wn.shape[1] + 2))
+    np.divide(wn, binw, out=slope[:, 1:-1])
+    cdf = np.empty_like(slope)
+    cdf[:, 0] = 0.0
+    cdf[:, 1:] = cum
+    return binw[:, 0], slope, cdf
+
+
+def _neighbor_lines(kind: str, p, nbr, mid, half):
+    """Neighbor CDFs on each live interval, as affine functions of the node.
+
+    ``p`` holds the (5, pixels) stencil parameters, center first, and
+    for histograms the padded tables of ``_padded_tables`` for the same
+    5 * pixels rows.  ``nbr`` is the (4, L) rows of the east, north, west
+    and south neighbors of each of the L intervals, whose midpoints and
+    half-widths are ``mid`` and ``half``.  Returns the (4, L) value at
+    each midpoint and the change per unit node coordinate; the value at
+    node ``x`` is ``at_mid + slope * x``, and for the Epanechnikov model
+    it is the scaled coordinate ``u`` that the CDF cubic takes.  No
+    interval straddles one of the neighbor's kinks, so on each interval
+    its CDF is 0, 1, or a single polynomial piece, found once from the
+    interval midpoint.  Intervals outside the support get zero slope, so
+    their nodes take the tail value exactly.
+    """
+    if kind == "histogram":
+        bins = p["slope"].shape[1] - 2
+        lo, binw = np.take(p["lo"], nbr), np.take(p["binw"], nbr)
+        j = np.floor((mid - lo) / binw)
+        np.clip(j, -1, bins, out=j)
+        at = nbr * (bins + 2) + 1
+        at += j.astype(np.intp)
+        slope = np.take(p["slope"], at)
+        at_mid = np.take(p["cdf"], at)
+        at_mid += slope * (mid - (lo + binw * j))
+        slope *= half
+        return np.clip(at_mid, 0.0, 1.0, out=at_mid), slope
+    if kind == "epanechnikov":
+        mean, hw = np.take(p["mean"], nbr), np.take(p["halfwidth"], nbr)
+        lo, hi = mean - hw, mean + hw
+        at_mid = np.clip((mid - mean) / hw, -1.0, 1.0)
+        slope = half / hw
+    else:
+        lo, hi = np.take(p["lo"], nbr), np.take(p["hi"], nbr)
+        slope = 1.0 / (hi - lo)
+        at_mid = slope * (mid - lo)
+        np.clip(at_mid, 0.0, 1.0, out=at_mid)
+        slope *= half
+    inside = (mid > lo) & (mid < hi)
+    return at_mid, np.where(inside, slope, 0.0)
 
 
 # Elements of one (pixels, intervals) plane of the closed-form kernel:
 # 1024 pixels of a uniform or Epanechnikov stencil, 317 of histogram(5).
-# The kernel touches about 26 planes, 1.8 MiB at this size.  Measured
-# with perfbench on a 2-core x86 host (2 MiB L2 per core), medians of 3
-# interleaved rounds at --seconds 10, closed-grid wall_s and scalar-io
-# wall_s / peak_rss_mib by budget: 4608 0.098 s and 0.50 s / 96.0 MiB,
+# The budget bounds the dense planes of kinks, midpoints and half-widths;
+# the node workspace holds 16 rows of the live intervals only, so at most
+# 16 planes.  Measured with perfbench on a 2-core x86 host (2 MiB L2 per
+# core), medians of 3 interleaved rounds at --seconds 10, closed-grid
+# wall_s and scalar-io wall_s / peak_rss_mib by budget, with the kernel
+# still evaluating every interval: 4608 0.098 s and 0.50 s / 96.0 MiB,
 # 9216 0.110 and 0.42 / 98.0, 13824 0.124 and 0.41 / 101.0, 18432 0.145
 # and 0.47 / 103.8 (the 1024-pixel cap before it: 0.165 and 0.46 / 98.1).
-# Past the L2 the kernel slows sharply: the 254x254 scalar-io classify
+# Past the L2 the kernel slowed sharply: the 254x254 scalar-io classify
 # at workers=1 took 300 ms at 18432 against 130 ms at 9216 (medians of
 # 6 interleaved runs).  Below 9216 the thread pool loses: with more,
 # shorter numpy calls the two workers wait on the interpreter lock, and
 # the same classify at workers=2 took 155 ms at 4608 and 280 ms at 2304
-# against 113 ms at 9216 (medians of 5).
+# against 113 ms at 9216 (medians of 5).  Swept again on live intervals
+# only, same host and method (seeds 101-103): 4608 0.060 s and 0.33 s /
+# 93.9 MiB, 9216 0.051 and 0.30 / 92.5, 13824 0.060 and 0.28 / 93.4,
+# 18432 0.041 and 0.31 / 96.2, with closed-grid peak_rss_mib 89.3 at
+# 9216 and 91.2 at 18432.  The 18432 gain on closed-grid has not been
+# checked in alternating pairs, so the budget stays at 9216.
 CLOSED_PLANE = 9216
 
 
@@ -599,54 +640,76 @@ def closed_chunk_pixels(model) -> int:
 def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
     """All requested channels of a pixel chunk from one shared node set.
 
-    Every kink is clipped to the center's support and sorted once; the
-    center density and the four neighbor CDFs are evaluated on the
-    resulting Gauss-Legendre nodes, and each channel is a different
-    product of those same values.  This is exact: every factor is a
-    polynomial between consecutive kinks, and each channel's integrand
-    vanishes outside its own range.
+    ``pos`` maps each parameter name to its (5, pixels) values, or
+    (5, pixels, bins) histogram weights, at the center, east, north,
+    west and south stencil positions.  Every kink is clipped to the
+    center's support and sorted once; the center density and the four
+    neighbor CDFs are evaluated on the resulting Gauss-Legendre nodes,
+    and each channel is a different product of those same values.  This
+    is exact: every factor is a polynomial between consecutive kinks,
+    and each channel's integrand vanishes outside its own range.
 
-    Per-interval quantities (midpoints, half-widths, each neighbor's
-    midpoint value and slope, the uniform or histogram center density
-    times the half-width) are found once, the four neighbors stacked on
-    a leading axis.  The nodes are then visited one at a time: each
-    factor of a node is written in place into one workspace of
-    (pixels, intervals) planes, and the node's min, max and saddle
-    terms are added to one plane each.  Nodes are added in order and
-    the intervals by one reduction along each contiguous row, so a
+    A kink outside the center's support is clipped onto one of its ends
+    and leaves an interval of zero width, whose node weights and so
+    whose terms are exactly +0.0.  Only the L live intervals, those of
+    nonzero width, are evaluated: their flat indices and pixel rows are
+    taken once, and per-interval quantities (each neighbor's midpoint
+    value and slope, the center density times the half-width) are found
+    for them alone, the four neighbors stacked on a leading axis.  The
+    nodes are then visited one at a time: each factor of a node is
+    written in place into one (16, L) workspace, and the node's min,
+    max and saddle terms are added to one row each.  Each channel's sums
+    are scattered back into a zeroed (pixels, intervals) plane, so every
+    dead interval holds the +0.0 it would have added, and each plane row
+    is reduced as one contiguous row.  Nodes are added in order and a
+    pixel's intervals reduced in the same order whatever the chunk, so a
     pixel's rounding never depends on the chunk size.
     """
     pos = _centered(kind, pos)
-    center = pos[_POS_C]
-    lo, hi = _support_bounds(kind, center)
-    pts = np.minimum(np.maximum(_closed_kinks(kind, pos), lo[:, None]), hi[:, None])
+    lo, hi = _support_bounds(kind, pos)
+    pts = _closed_kinks(kind, pos, lo, hi)
+    np.maximum(pts, lo[_POS_C, :, None], out=pts)
+    np.minimum(pts, hi[_POS_C, :, None], out=pts)
     pts.sort(axis=1)
     half = 0.5 * (pts[:, 1:] - pts[:, :-1])
     mid = 0.5 * (pts[:, 1:] + pts[:, :-1])
     shape = half.shape
+    npix = shape[0]
+    # intervals of nonzero width; NaN widths stay, so NaN reaches the sums
+    live = np.flatnonzero(half)
+    row = live // shape[1]
+    mid, half = np.take(mid, live), np.take(half, live)
+    del pts
+    # rows of the east, north, west, south neighbors among the 5 * pixels
+    nbr = row + npix * np.arange(1, 5)[:, None]
     xi, wts = gauss_legendre_nodes(8 if kind == "epanechnikov" else 3)
+    if kind == "histogram":
+        bins = pos["weights"].shape[-1]
+        binw, slope_tab, cdf_tab = _padded_tables(
+            lo.ravel(), hi.ravel(), pos["weights"].reshape(-1, bins)
+        )
+        pos = {"lo": lo, "binw": binw, "slope": slope_tab, "cdf": cdf_tab}
     # east, north, west, south CDFs at node x: at_mid + slope * x
-    nbrs = {k: np.concatenate([p[k] for p in pos[1:]]) for k in center}
-    at_mid, slope = (
-        a.reshape((4,) + shape)
-        for a in _neighbor_lines(kind, nbrs, np.tile(mid, (4, 1)), np.tile(half, (4, 1)))
-    )
+    at_mid, slope = _neighbor_lines(kind, pos, nbr, mid, half)
     if kind == "epanechnikov":
-        hw = center["halfwidth"][:, None]
-        c_mid, c_slope = (mid - center["mean"][:, None]) / hw, half / hw
+        hw = np.take(pos["halfwidth"][_POS_C], row)
+        c_mid, c_slope = (mid - np.take(pos["mean"][_POS_C], row)) / hw, half / hw
         c_scale = 0.75 / hw
     elif kind == "uniform":
-        density = (1.0 / (center["hi"] - center["lo"]))[:, None] * half
+        density = np.take(1.0 / (hi[_POS_C] - lo[_POS_C]), row) * half
     else:
-        c_lo, binw, wn, _ = histogram_table(center["lo"], center["hi"], center["weights"])
-        j = _bin_index(c_lo, binw, wn.shape[1], mid)
-        density = np.take_along_axis(wn, j, axis=1) / binw * half
-    del pts, mid, nbrs
+        # the center's bins only, as every live midpoint is on its support
+        j = np.floor((mid - np.take(lo[_POS_C], row)) / np.take(binw, row))
+        np.clip(j, 0, bins - 1, out=j)
+        at = row * (bins + 2) + 1
+        at += j.astype(np.intp)
+        density = np.take(slope_tab, at) * half
+    del mid, nbr, pos, lo, hi
 
-    work = np.empty((16,) + shape)
+    work = np.empty((16, live.size))
     g = work[0]
     # survival and CDF of the four neighbors
-    sf_cdf = work[1:9].reshape((2, 4) + shape)
+    sf_cdf = work[1:9].reshape(2, 4, live.size)
     sf, cdf = sf_cdf
     # [below, above] the east/west pair and the north/south pair
     ew, ns = work[9:11], work[11:13]
@@ -688,7 +751,13 @@ def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
             np.multiply(g, terms, out=terms)
             np.add(acc, terms, out=acc)
     sums = dict(zip(CHANNELS, acc))
-    return {ch: sums[ch].sum(axis=1) for ch in channels}
+    # the dead intervals stay +0.0 from one channel to the next
+    plane = np.zeros(shape)
+    out = {}
+    for ch in channels:
+        plane.reshape(-1)[live] = sums[ch]
+        out[ch] = plane.sum(axis=1)
+    return out
 
 
 # Draws per tile of the semianalytical kernel (pixels times draws) and
@@ -939,10 +1008,11 @@ def _chunk_task(payload) -> dict[str, np.ndarray]:
             [(0, keys, kernel, columns)], rows, width, estimator.n_samples, channels, GRID_DRAWS
         )
     # center, east, north, west, south
-    stencils = centers[:, None] + np.array([0, 1, -width, -1, width])
-    pos = [{name: arr[stencils[:, i]] for name, arr in params.items()} for i in range(5)]
+    stencils = centers + np.array([0, 1, -width, -1, width])[:, None]
+    stacked = {name: arr[stencils] for name, arr in params.items()}
     if method == "closed_form":
-        return _closed_chunk(kind, pos, channels)
+        return _closed_chunk(kind, stacked, channels)
+    pos = [{name: arr[i] for name, arr in stacked.items()} for i in range(5)]
     if method == "combinatorial":
         return _comb_chunk(pos, channels)
     samplers = [_sampler(kind, p) for p in pos]
@@ -988,6 +1058,15 @@ def classify_field(
         )
     if workers < 1:
         raise ValueError("workers must be positive")
+    if method == "closed_form":
+        # a center of zero width has no live interval, and the kernel
+        # would give it 0 for every channel
+        inner_params = {name: arr[1:-1, 1:-1] for name, arr in field.params.items()}
+        lo, hi = _support_bounds(kind, inner_params)
+        zero = np.count_nonzero(hi <= lo)
+        del lo, hi
+        if zero:
+            raise ValueError(f"{zero} interior supports have zero or negative width")
 
     inner = width - 2
     npix = (height - 2) * inner

@@ -163,11 +163,15 @@ class UncertainField:
             if model.kind == "uniform":
                 return cls(model, {"lo": lo, "hi": hi})
             h = model.bins
-            idx = np.floor((values - lo) * (h / (hi - lo))).astype(np.intp)
+            # in place: ``values`` is this fit's own copy
+            values -= lo
+            values *= h / (hi - lo)
+            idx = np.floor(values, out=values).astype(np.intp)
             np.clip(idx, 0, h - 1, out=idx)
-            weights = np.empty(lo.shape + (h,), dtype=np.float64)
-            for b in range(h):
-                weights[..., b] = (idx == b).mean(axis=0)
+            # one count per (pixel, bin), all members in one pass
+            idx += h * np.arange(lo.size).reshape(lo.shape)
+            counts = np.bincount(idx.ravel(), minlength=lo.size * h)
+            weights = (counts / idx.shape[0]).reshape(lo.shape + (h,))
             return cls(model, {"lo": lo, "hi": hi, "weights": weights})
         mean = values.mean(axis=0)
         std = values.std(axis=0, ddof=1)

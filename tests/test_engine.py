@@ -852,8 +852,66 @@ class TestClassifyField:
                             assert np.array_equal(got.channel(ch), want.channel(ch))
             monkeypatch.undo()
 
-    # measured peaks 3.2 MiB (histogram) and 2.5 MiB (Epanechnikov)
-    @pytest.mark.parametrize("kind, bound_mib", [("histogram", 4), ("epanechnikov", 6)])
+    def test_closed_form_dead_intervals(self, monkeypatch):
+        # Kinks outside the center's support are clipped onto its ends and
+        # leave zero-width intervals, which add nothing to any channel.
+        shape = (6, 7)
+        rows, cols = np.indices(shape)
+        even = (rows + cols) % 2 == 0
+        # The even pixels are [0, 1] and the odd ones [-10, 11], so an even
+        # center has every neighbor kink outside its support: one live
+        # interval, or one per bin for histograms (with 3 bins the wide
+        # pixels' edges are -10, -3, 4 and 11).
+        covered = (np.where(even, 0.0, -10.0), np.where(even, 1.0, 11.0), 3)
+        # every stencil holds five equal distributions, so all kinks coincide
+        equal = (np.zeros(shape), np.ones(shape), 5)
+        # unit supports 4 apart: saddles where rows and columns alternate,
+        # certain minima and maxima elsewhere
+        shift = 4.0 * (cols % 2) - 4.0 * (rows % 2)
+        disjoint = (shift, shift + 1.0, 5)
+        rng = np.random.default_rng(23)
+
+        def fields(lo, hi, bins):
+            yield UncertainField(ModelSpec("uniform"), {"lo": lo, "hi": hi})
+            yield UncertainField(
+                ModelSpec("epanechnikov"), {"mean": 0.5 * (lo + hi), "halfwidth": 0.5 * (hi - lo)}
+            )
+            if lo is equal[0]:
+                # zero first and last bins, the same at every pixel
+                weights = np.broadcast_to([0.0, 2.0, 0.0, 1.0, 0.0], shape + (5,)).copy()
+            else:
+                weights = rng.uniform(0.5, 1.0, shape + (bins,))
+                weights[rows % 3 == 0, 0] = 0.0
+                weights[cols % 3 == 1, -1] = 0.0
+                weights[(rows + cols) % 4 == 2, bins // 2] = 0.0
+            yield UncertainField(
+                ModelSpec("histogram", bins=bins), {"lo": lo, "hi": hi, "weights": weights}
+            )
+
+        for lo, hi, bins in (covered, equal, disjoint):
+            for field in fields(lo, hi, bins):
+                prob = classify_field(field)
+                for r, c in itertools.product(range(1, shape[0] - 1), range(1, shape[1] - 1)):
+                    trip = closed_form_triple(case_at(field, r, c))
+                    for ch, want in zip(CHANNELS, trip):
+                        assert prob.channel(ch)[r, c] == pytest.approx(want, abs=1e-12)
+                    if lo is equal[0]:
+                        for ch, want in zip(CHANNELS, (0.2, 0.2, 1.0 / 15.0)):
+                            assert prob.channel(ch)[r, c] == pytest.approx(want, abs=1e-12)
+                kinks = 5 * (bins + 1) if field.model.kind == "histogram" else 10
+                monkeypatch.setattr(engine, "CLOSED_PLANE", kinks - 1)
+                assert engine.closed_chunk_pixels(field.model) == 1
+                for workers in (1, 3):
+                    got = classify_field(field, workers=workers)
+                    for ch in CHANNELS:
+                        assert np.array_equal(got.channel(ch), prob.channel(ch))
+                monkeypatch.undo()
+
+    # measured peaks 3.0 MiB (histogram), 2.0 MiB (Epanechnikov) and 1.7 MiB
+    # (uniform)
+    @pytest.mark.parametrize(
+        "kind, bound_mib", [("histogram", 4), ("epanechnikov", 6), ("uniform", 4)]
+    )
     def test_closed_form_memory_is_bounded_by_the_plane(self, kind, bound_mib):
         field = UncertainField.from_ensemble(
             ackley_ensemble(130, 130, members=20, seed=0), ModelSpec(kind=kind, bins=5)
@@ -909,6 +967,24 @@ class TestClassifyField:
             lo, hi = values - 0.5e308, values + 0.5e308
             field = UncertainField(ModelSpec("uniform"), {"lo": lo, "hi": hi})
             with pytest.raises(ValueError, match="not finite"):
+                classify_field(field)
+
+    def test_zero_width_support_raises(self):
+        # the fitters widen degenerate pixels, so the field is built
+        # directly; a zero-width border pixel is never a center
+        lo = np.random.default_rng(2).uniform(0.0, 1.0, (5, 6))
+        hi = lo + 0.5
+        hi[0, 0] = lo[0, 0]
+        field = UncertainField(ModelSpec("uniform"), {"lo": lo, "hi": hi})
+        assert np.isfinite(classify_field(field).p_min).all()
+        hi[2, 3] = lo[2, 3]
+        for kind, params in (
+            ("uniform", {"lo": lo, "hi": hi}),
+            ("epanechnikov", {"mean": 0.5 * (lo + hi), "halfwidth": 0.5 * (hi - lo)}),
+            ("histogram", {"lo": lo, "hi": hi, "weights": np.ones((5, 6, 3))}),
+        ):
+            field = UncertainField(ModelSpec(kind, bins=3), params)
+            with pytest.raises(ValueError, match="1 interior supports have zero or negative"):
                 classify_field(field)
 
     def test_channel_subset(self):
