@@ -192,7 +192,10 @@ def histogram_table(lo, hi, weights):
     """
     h = weights.shape[1]
     cum = np.zeros((weights.shape[0], h + 1))
-    np.cumsum(weights, axis=1, out=cum[:, 1:])
+    # column adds in cumsum's order give its bits; cumsum walks many
+    # short rows one at a time
+    for j in range(h):
+        np.add(cum[:, j], weights[:, j], out=cum[:, j + 1])
     cum[:, -1] = 1.0
     return lo[:, None], ((hi - lo) / h)[:, None], weights, cum
 

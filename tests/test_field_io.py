@@ -1,8 +1,16 @@
 """Tests for the bit-exact UCVF container, CSV export, and heatmaps."""
 
+import itertools
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from critprob import field_io
 from critprob.field_io import (
     UcvfError,
     UcvfFormatError,
@@ -35,6 +43,105 @@ def sample_prob(seed: int = 1, shape=(5, 6)) -> ProbabilityField:
     prob.p_max[~prob.valid] = 0.0
     prob.p_saddle[~prob.valid] = 0.0
     return prob
+
+
+def reference_csv(field: ProbabilityField, path) -> None:
+    """The CSV table by one ``%`` format per pixel: the bytes the block writer must give."""
+    height, width = field.p_min.shape
+    xs = range(width)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("x,y,p_min,p_max,p_saddle,valid\n")
+        # one raster row at a time keeps the formatted text small
+        for y in range(height):
+            columns = (field.p_min[y], field.p_max[y], field.p_saddle[y], field.valid[y])
+            rows = zip(xs, itertools.repeat(y), *(c.tolist() for c in columns))
+            fh.write("".join("%d,%d,%.17g,%.17g,%.17g,%d\n" % row for row in rows))
+
+
+def csv_value_pool() -> np.ndarray:
+    """Values that stress %.17g: specials, exact ties, exponent edges, random."""
+    rng = np.random.default_rng(12)
+    # odd * 2**-19 has 19 decimals ending in 5, so in [0.01, 0.1) the
+    # 18th decimal, the 17th significant digit, is an exact tie
+    odd = np.arange(5243, 52429, 2)
+    edges = []
+    for c in (1e-4, 0.1, 1.0):
+        lo = hi = c
+        for _ in range(3):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 2.0)
+            edges += [lo, hi]
+        edges.append(c)
+    specials = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                1e-300, 1.5, 2.0, 1e300, -0.5, -1.0, -2.2250738585072014e-308, np.inf, -np.inf]
+    pool = np.concatenate(
+        [
+            specials,
+            edges,
+            odd * 2.0**-19,
+            rng.uniform(0.0, 1.0, 4000),
+            10.0 ** rng.uniform(-8.0, 0.0, 4000),
+        ]
+    )
+    assert np.all(odd * 2.0**-19 >= 0.01) and np.all(odd * 2.0**-19 < 0.1)
+    return pool
+
+
+def field_of(values, shape, seed=0) -> ProbabilityField:
+    """A field whose three channels hold ``values``, shuffled, and a random mask."""
+    rng = np.random.default_rng(seed)
+    npix = shape[0] * shape[1]
+    picks = np.resize(rng.permutation(values), 3 * npix)
+    prob = ProbabilityField.empty(*shape)
+    prob.p_min[:], prob.p_max[:], prob.p_saddle[:] = picks.reshape(3, *shape)
+    prob.valid[:] = rng.random(shape) < 0.5
+    return prob
+
+
+class TestCsvWriter:
+    def assert_reference_bytes(self, prob, tmp_path):
+        path, ref = tmp_path / "prob.csv", tmp_path / "ref.csv"
+        save_probability_field(prob, path, format="csv")
+        reference_csv(prob, ref)
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_value_pool_matches_reference(self, tmp_path):
+        pool = csv_value_pool()
+        width = 127
+        prob = field_of(pool, (-(-len(pool) // width), width))
+        self.assert_reference_bytes(prob, tmp_path)
+
+    @pytest.mark.parametrize("block", [1, 7, field_io.CSV_BLOCK])
+    @pytest.mark.parametrize("shape", [(7, 13), (5, 11)])
+    def test_blocks_end_anywhere(self, tmp_path, monkeypatch, block, shape):
+        # 7-pixel blocks end mid-row; on 7 x 13 the last one ends at the last pixel
+        monkeypatch.setattr(field_io, "CSV_BLOCK", block)
+        specials = np.array([0.0, -0.0, 1.0, 5243 * 2.0**-19, np.nextafter(1e-4, 0.0), 1e-300, 2.0])
+        prob = field_of(np.concatenate([specials, csv_value_pool()[-200:]]), shape, seed=block)
+        prob.p_min.reshape(-1)[: len(specials)] = specials
+        self.assert_reference_bytes(prob, tmp_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    def test_any_float_matches_reference(self, values):
+        prob = ProbabilityField.empty(1, len(values))
+        prob.p_min[0] = values
+        prob.p_max[0] = values[::-1]
+        prob.p_saddle[0] = np.roll(values, 1)
+        prob.valid[0, ::2] = True
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_reference_bytes(prob, Path(tmp))
+
+    def test_block_working_set(self, tmp_path):
+        # the 254 x 254 closed-form uniform classify peaks at about 4 MiB
+        # (tracemalloc); the write of its table stays well under that
+        prob = field_of(np.random.default_rng(3).uniform(0.0, 1.0, 3 * 254 * 254), (254, 254))
+        tracemalloc.start()
+        try:
+            save_probability_field(prob, tmp_path / "prob.csv", format="csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestEnsembleRoundtrip:
@@ -152,6 +259,36 @@ class TestProbabilityRoundtrip:
         assert np.array_equal(loaded.p_max, prob.p_max)
         assert np.array_equal(loaded.p_saddle, prob.p_saddle)
         assert np.array_equal(loaded.valid, prob.valid)
+
+    def test_csv_single_pixel_round_trips(self, tmp_path):
+        prob = ProbabilityField.empty(1, 1)
+        prob.p_min[0, 0], prob.p_max[0, 0], prob.p_saddle[0, 0] = 0.25, 0.1, 0.0
+        prob.valid[0, 0] = True
+        path = tmp_path / "one.csv"
+        save_probability_field(prob, path, format="csv")
+        loaded = load_probability_field(path, format="csv")
+        for name in ("p_min", "p_max", "p_saddle", "valid"):
+            assert np.array_equal(getattr(loaded, name), getattr(prob, name))
+
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    def test_csv_truncated_row_raises(self, tmp_path):
+        path = tmp_path / "prob.csv"
+        save_probability_field(sample_prob(), path, format="csv")
+        lines = path.read_text().split("\n")
+        lines[3] = lines[3].rsplit(",", 2)[0]
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError):
+            load_probability_field(path, format="csv")
+        path.write_text("\n".join(lines[:1]))  # header only
+        with pytest.raises(ValueError):
+            load_probability_field(path, format="csv")
+
+    def test_ucvf_payload_is_float32_of_channels(self, tmp_path):
+        prob = sample_prob(seed=5)
+        path = tmp_path / "prob.ucvf"
+        save_probability_field(prob, path)
+        planes = np.stack([prob.p_min, prob.p_max, prob.p_saddle, prob.valid.astype(np.float64)])
+        assert path.read_bytes() == b"UCVF1 6 5 4\n" + planes.astype("<f4").tobytes()
 
     def test_masked_pixels_serialized_invalid(self, tmp_path):
         prob = sample_prob()
