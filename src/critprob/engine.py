@@ -74,24 +74,21 @@ center and the four edge cells of a 3 x 3 block, in blocks of
 ``TILE_DRAWS`` draws; the corners are never drawn or read, and a
 2-neighbor case copies its east and north draws to the west and south.
 So a grid pixel, whose neighbors draw from their own streams, differs from the Monte Carlo estimate of its case;
-``semianalytical_prob`` gives its grid pixel's value bit for bit.
+``semianalytical_prob`` gives its grid pixel's value bit for bit.  The
+combinatorial kernel takes blocks of (bin combination, pixel) stencils:
+a grid chunk's blocks hold a few combinations of all its pixels, and
+``combinatorial_triple``'s hold many combinations of its one pixel.
 
-With more than one worker, closed-form and Monte Carlo chunks run on a
-thread pool: each kernel is a short run of vectorized numpy passes per
-plane or block, which release the interpreter lock, and threads share
-the parameter arrays, where a process pool forks a worker, with its own
-copy of the interpreter, and pickles every chunk.  The semianalytical
-and combinatorial estimators run on a process pool: the combinatorial
-bin loop is Python code that holds the lock, and the semianalytical
-tiles make many short numpy calls; both ran slower on two threads than
-on two processes.
+With more than one worker, every method's chunks run on one thread
+pool: each kernel is a run of vectorized numpy passes, which release
+the interpreter lock, and threads share the parameter arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,52 +310,50 @@ def mc_all_patterns(
 # histogram-only estimators
 # ---------------------------------------------------------------------------
 
-def _uniform_kernel_term(a1, b1, above_intervals, below_intervals) -> float:
-    """Exact pattern probability for one combination of uniform kernels.
+def _uniform_kernel_term(intervals, above, below) -> np.ndarray:
+    """Exact pattern probability of a batch of all-uniform stencils.
 
-    The center is uniform on [a1, b1]; it must fall below every interval
-    in ``above_intervals`` and above every interval in
-    ``below_intervals``.  Each piece between kernel endpoints is a
-    polynomial integrated in closed form around the piece midpoint.
+    ``intervals`` holds the (lo, hi) arrays of each position over the
+    batch, center first.  The center must fall below the intervals at
+    the positions in ``above`` and above those in ``below``.  The cut
+    points are clipped into the range [lo, hi] where that can happen and
+    sorted; on each piece the integrand is a polynomial around the piece
+    midpoint, one linear factor per interval, and its even coefficients
+    integrate exactly.  Clipped or repeated cuts leave pieces of zero
+    width, which add zero, as does every piece where hi <= lo.
     """
-    lo = a1
-    for a, _ in below_intervals:
-        lo = max(lo, a)
-    hi = b1
-    for _, b in above_intervals:
-        hi = min(hi, b)
-    if hi <= lo:
-        return 0.0
-    cuts = {lo, hi}
-    for a, _ in above_intervals:
-        if lo < a < hi:
-            cuts.add(a)
-    for _, b in below_intervals:
-        if lo < b < hi:
-            cuts.add(b)
-    pts = sorted(cuts)
-    inv_w1 = 1.0 / (b1 - a1)
-    total = 0.0
-    for u, v in zip(pts, pts[1:]):
-        c = 0.5 * (u + v)
-        h = 0.5 * (v - u)
-        coeffs = np.array([inv_w1])
-        for a, b in above_intervals:
-            if c > a:  # survival is 1 below a, linear inside
-                coeffs = np.convolve(coeffs, [(b - c) / (b - a), -1.0 / (b - a)])
-        for a, b in below_intervals:
-            if c < b:  # cdf is 1 above b, linear inside
-                coeffs = np.convolve(coeffs, [(c - a) / (b - a), 1.0 / (b - a)])
-        acc = 0.0
-        for k in range(0, coeffs.size, 2):
-            acc += coeffs[k] * 2.0 * h ** (k + 1) / (k + 1)
-        total += acc
-    return total
+    a1, b1 = lo, hi = intervals[0]
+    above, below = [intervals[i] for i in above], [intervals[i] for i in below]
+    for a, _ in below:
+        lo = np.maximum(lo, a)
+    for _, b in above:
+        hi = np.minimum(hi, b)
+    pts = np.stack([lo, hi, *(a for a, _ in above), *(b for _, b in below)])
+    np.maximum(pts, lo, out=pts)
+    np.minimum(pts, hi, out=pts)
+    pts.sort(axis=0)
+    mid = 0.5 * (pts[:-1] + pts[1:])
+    half = 0.5 * (pts[1:] - pts[:-1])
+    coeffs = np.zeros((1 + len(above) + len(below), *mid.shape))
+    coeffs[0] = 1.0 / (b1 - a1)
+    # survival is 1 below a and linear inside; the cdf is 1 above b.  A
+    # factor of 1 leaves the coefficients as they are.
+    factors = [(mid > a, (b - mid) / (b - a), -1.0 / (b - a)) for a, b in above]
+    factors += [(mid < b, (mid - a) / (b - a), 1.0 / (b - a)) for a, b in below]
+    for degree, (inside, const, slope) in enumerate(factors, 1):
+        shifted = coeffs[:degree] * np.where(inside, slope, 0.0)
+        coeffs[: degree + 1] *= np.where(inside, const, 1.0)
+        coeffs[1 : degree + 1] += shifted
+    pieces = coeffs[0] * 2.0 * half
+    for k in range(2, coeffs.shape[0], 2):
+        pieces += coeffs[k] * 2.0 * half ** (k + 1) / (k + 1)
+    return sum(pieces[1:], pieces[0])
 
 
 def _histogram_grid(lo, hi, weights) -> tuple[np.ndarray, np.ndarray]:
-    h = weights.size
-    return lo + (hi - lo) * np.arange(h + 1) / h, weights
+    """(pixels, bins + 1) bin edges and the weights of equal-width histograms."""
+    h = weights.shape[-1]
+    return lo[:, None] + (hi - lo)[:, None] * np.arange(h + 1) / h, weights
 
 
 def _case_grids(case: NeighborhoodCase) -> list:
@@ -370,42 +365,51 @@ def _case_grids(case: NeighborhoodCase) -> list:
                 f"combinatorial cost grows as bins**{len(dists)}; "
                 f"refusing more than {COMBINATORIAL_MAX_BINS} bins"
             )
-    return [_histogram_grid(d.support.lo, d.support.hi, d.bin_weights) for d in dists]
+    return [
+        _histogram_grid(np.array([d.support.lo]), np.array([d.support.hi]), d.bin_weights[None])
+        for d in dists
+    ]
 
 
-def _combinatorial_pattern(grids, pattern: str) -> float:
-    """One pattern's probability summed over all bin combinations.
+# Stencils, bin combinations times pixels, per combinatorial block; its
+# coefficient arrays take 200 bytes per 4-neighbor stencil.  A 24 x 24
+# histogram(3) classify on one worker of a 2-core x86 host, median of 5
+# interleaved runs: one combination per block 0.44 s, 1024 stencils
+# 0.35, 2048 0.31, 4096 0.30, 8192 0.29, 32768 0.54.
+COMB_STENCILS = 4096
 
-    ``grids`` holds (bin edges, weights) per position, center first.
-    Each term lists the neighbors the center must fall below and those
-    it must fall above; a saddle is the sum of its two alternating terms.
+
+def _comb_chunk(grids, channels) -> dict[str, np.ndarray]:
+    """Combinatorial probabilities of a batch of histogram stencils.
+
+    ``grids`` holds ``_histogram_grid`` (bin edges, weights) per position,
+    center first; bin counts may differ by position.  Every combination
+    of one bin per position is an all-uniform stencil with an exact
+    answer, weighted by its bin masses.  Each pattern lists the neighbors
+    the center must fall below and those it must fall above.  Each pixel
+    adds its combinations one at a time in one fixed order, so its sum
+    never depends on the batch or the block.
     """
     nbrs = list(range(1, len(grids)))
-    if pattern == "min":
-        terms = [(nbrs, [])]
-    elif pattern == "max":
-        terms = [([], nbrs)]
-    else:
-        # below the first neighbor of each axis pair and above the second,
-        # or the reverse
-        first, second = nbrs[0::2], nbrs[1::2]
-        terms = [(first, second), (second, first)]
-    total = 0.0
-    for combo in itertools.product(*(range(w.size) for _, w in grids)):
-        wprod = 1.0
-        for (_, w), j in zip(grids, combo):
-            wprod *= w[j]
-        if wprod == 0.0:
-            continue
-        intervals = [(edges[j], edges[j + 1]) for (edges, _), j in zip(grids, combo)]
-        a1, b1 = intervals[0]
-        total += wprod * sum(
-            _uniform_kernel_term(
-                a1, b1, [intervals[i] for i in above], [intervals[i] for i in below]
-            )
-            for above, below in terms
-        )
-    return total
+    # below the first neighbor of each axis pair and above the second,
+    # or the reverse
+    first, second = nbrs[0::2], nbrs[1::2]
+    terms = {"min": [(nbrs, [])], "max": [([], nbrs)], "saddle": [(first, second), (second, first)]}
+    m = grids[0][1].shape[0]
+    combos = np.array(list(itertools.product(*(range(w.shape[1]) for _, w in grids))))
+    step = max(1, COMB_STENCILS // m)
+    out = {ch: np.zeros((1, m)) for ch in channels}
+    for start in range(0, len(combos), step):
+        bins = combos[start : start + step].T
+        # (combinations, pixels) bin ends and the product of the bin masses
+        intervals = [(edges[:, j].T, edges[:, j + 1].T) for (edges, _), j in zip(grids, bins)]
+        wprod = math.prod(w[:, j].T for (_, w), j in zip(grids, bins))
+        for ch in channels:
+            found = [_uniform_kernel_term(intervals, *term) for term in terms[ch]]
+            weighted = wprod * sum(found[1:], found[0])
+            # running sums add the block's combinations one at a time
+            out[ch] = np.add.accumulate(np.concatenate([out[ch], weighted]))[-1:]
+    return {ch: total[0] for ch, total in out.items()}
 
 
 def histogram_min_prob_combinatorial(case: NeighborhoodCase) -> float:
@@ -417,12 +421,12 @@ def histogram_min_prob_combinatorial(case: NeighborhoodCase) -> float:
     serves as a cross-check for the factorized product integral rather
     than as a production path.
     """
-    return _combinatorial_pattern(_case_grids(case), "min")
+    return float(_comb_chunk(_case_grids(case), ("min",))["min"][0])
 
 
 def combinatorial_triple(case: NeighborhoodCase) -> ProbabilityTriple:
-    grids = _case_grids(case)
-    return ProbabilityTriple(*(_combinatorial_pattern(grids, p) for p in PATTERNS))
+    stats = _comb_chunk(_case_grids(case), PATTERNS)
+    return ProbabilityTriple(*(float(stats[p][0]) for p in PATTERNS))
 
 
 def semianalytical_prob(
@@ -976,16 +980,6 @@ def _semi_chunk(samplers, px_idx, c, seed, channels) -> dict[str, np.ndarray]:
     return out
 
 
-def _comb_chunk(pos, channels) -> dict[str, np.ndarray]:
-    m = pos[0]["lo"].shape[0]
-    out = {ch: np.zeros(m) for ch in channels}
-    for i in range(m):
-        grids = [_histogram_grid(p["lo"][i], p["hi"][i], p["weights"][i]) for p in pos]
-        for ch in channels:
-            out[ch][i] = _combinatorial_pattern(grids, ch)
-    return out
-
-
 def _chunk_task(payload) -> dict[str, np.ndarray]:
     """One chunk of ``classify_field``: its pixels and the rows around them.
 
@@ -1014,7 +1008,8 @@ def _chunk_task(payload) -> dict[str, np.ndarray]:
         return _closed_chunk(kind, stacked, channels)
     pos = [{name: arr[i] for name, arr in stacked.items()} for i in range(5)]
     if method == "combinatorial":
-        return _comb_chunk(pos, channels)
+        grids = [_histogram_grid(p["lo"], p["hi"], p["weights"]) for p in pos]
+        return _comb_chunk(grids, channels)
     samplers = [_sampler(kind, p) for p in pos]
     px_idx = (origin + centers).astype(np.uint64)
     return _semi_chunk(samplers, px_idx, estimator.c, estimator.seed, channels)
@@ -1030,12 +1025,13 @@ def classify_field(
 
     The one-pixel border is marked invalid.  Work is split into one
     pixel chunk per worker (whole interior rows for Monte Carlo; the
-    closed form and combinatorial chunks are smaller still).  Per-pixel
-    math never crosses chunk boundaries, and sample streams are keyed by
-    pixel index, so the output is identical for any ``workers`` value or
-    chunk layout.  Raises ValueError if any requested channel has a
-    non-finite interior value, as it does when a field's supports
-    overflow float64.
+    closed form and combinatorial chunks are smaller still), and with
+    ``workers`` above 1 the chunks of every method run on one thread
+    pool.  Per-pixel math never crosses chunk boundaries, and sample
+    streams are keyed by pixel index, so the output is identical for any
+    ``workers`` value or chunk layout.  Raises ValueError if any
+    requested channel has a non-finite interior value, as it does when a
+    field's supports overflow float64.
     """
     estimator = estimator or EstimatorSpec()
     if isinstance(channels, str):
@@ -1096,9 +1092,7 @@ def classify_field(
     if workers == 1 or len(spans) == 1:
         results = [_chunk_task(p) for p in payloads]
     else:
-        threaded = method in ("closed_form", "monte_carlo")
-        pool_type = ThreadPoolExecutor if threaded else ProcessPoolExecutor
-        with pool_type(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_chunk_task, payloads))
 
     out = ProbabilityField.empty(height, width)

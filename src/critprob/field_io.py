@@ -50,7 +50,7 @@ def _write_ucvf(path, width: int, height: int, planes: np.ndarray) -> None:
     data = np.ascontiguousarray(planes, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def _read_ucvf(path) -> tuple[int, int, np.ndarray]:

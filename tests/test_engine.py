@@ -1,9 +1,9 @@
 """Tests for the critical-point probability engine."""
 
 import itertools
-import os
-import subprocess
-import sys
+import math
+import multiprocessing.process
+import threading
 import tracemalloc
 
 import numpy as np
@@ -481,6 +481,76 @@ class TestMonteCarlo:
             mc_all_patterns(case, -5)
 
 
+def mixed_bin_case(i: int) -> NeighborhoodCase:
+    """A histogram case with a different bin count, 1 to 8, at each position.
+
+    Some bins have zero weight; odd ``i`` give 2 neighbors, and
+    i % 4 >= 2 puts the supports near 1e3.
+    """
+    k = 2 if i % 2 else 4
+    offset = 1e3 if i % 4 >= 2 else 0.0
+    rng = np.random.default_rng(1500 + i)
+    dists = []
+    for j in range(k + 1):
+        bins = 1 + (i + 3 * j) % COMBINATORIAL_MAX_BINS
+        weights = rng.uniform(0.1, 1.0, bins)
+        if bins > 1:
+            weights[(i + j) % bins] = 0.0
+        if bins > 2:
+            weights[(i + j + 2) % bins] = 0.0
+        lo = offset + rng.uniform(-1.0, 1.0)
+        dists.append(histogram(lo, lo + rng.uniform(0.3, 2.0), weights))
+    return NeighborhoodCase(dists[0], tuple(dists[1:]))
+
+
+def loop_combinatorial(case: NeighborhoodCase, pattern: str) -> float:
+    """Reference: one bin combination and one polynomial piece at a time.
+
+    Sorts the distinct cut points of each term in Python and multiplies
+    the linear factors with ``np.convolve``, in the order of operations
+    that the vectorized kernel keeps.
+    """
+    dists = (case.center, *case.neighbors)
+    grids = []
+    for d in dists:
+        lo, hi, w = d.support.lo, d.support.hi, d.bin_weights
+        grids.append((lo + (hi - lo) * np.arange(w.size + 1) / w.size, w))
+    nbrs = list(range(1, len(dists)))
+    first, second = nbrs[0::2], nbrs[1::2]
+    terms = {"min": [(nbrs, [])], "max": [([], nbrs)], "saddle": [(first, second), (second, first)]}
+    total = 0.0
+    for combo in itertools.product(*(range(w.size) for _, w in grids)):
+        wprod = math.prod(w[j] for (_, w), j in zip(grids, combo))
+        if wprod == 0.0:
+            continue
+        iv = [(edges[j], edges[j + 1]) for (edges, _), j in zip(grids, combo)]
+        (a1, b1), found = iv[0], []
+        for above, below in terms[pattern]:
+            lo = max([a1] + [iv[i][0] for i in below])
+            hi = min([b1] + [iv[i][1] for i in above])
+            cuts = {lo, hi} | {iv[i][0] for i in above} | {iv[i][1] for i in below}
+            pts = sorted(x for x in cuts if lo <= x <= hi)
+            term = 0.0
+            for u, v in zip(pts, pts[1:]):
+                c, h = 0.5 * (u + v), 0.5 * (v - u)
+                coeffs = np.array([1.0 / (b1 - a1)])
+                for i in above:
+                    a, b = iv[i]
+                    if c > a:
+                        coeffs = np.convolve(coeffs, [(b - c) / (b - a), -1.0 / (b - a)])
+                for i in below:
+                    a, b = iv[i]
+                    if c < b:
+                        coeffs = np.convolve(coeffs, [(c - a) / (b - a), 1.0 / (b - a)])
+                acc = 0.0
+                for k in range(0, coeffs.size, 2):
+                    acc += coeffs[k] * 2.0 * h ** (k + 1) / (k + 1)
+                term += acc
+            found.append(term)
+        total += wprod * sum(found)
+    return total
+
+
 class TestCombinatorial:
     def test_single_bin_reduces_to_uniform(self):
         huni = NeighborhoodCase(
@@ -540,6 +610,32 @@ class TestCombinatorial:
         for a, b in zip(comb, closed):
             assert a == pytest.approx(b, abs=1e-9)
         assert comb.total == pytest.approx(1.0, abs=1e-9)
+
+    def test_triple_matches_closed_form_on_mixed_bins(self):
+        for i in range(32):
+            case = mixed_bin_case(i)
+            sizes = {d.bin_weights.size for d in (case.center, *case.neighbors)}
+            assert len(sizes) == len(case.neighbors) + 1
+            comb = combinatorial_triple(case)
+            for a, b in zip(comb, closed_form_triple(case)):
+                assert a == pytest.approx(b, abs=1e-12)
+            assert histogram_min_prob_combinatorial(case) == comb.p_min
+
+    def test_kernel_matches_loop_reference(self):
+        # The same operations in the same order; only a power of an array
+        # may round apart from a power of a scalar (an ulp, on some
+        # platforms), so the slack is a few ulps of 1.
+        cases = [mixed_bin_case(i) for i in range(8)]
+        cases += [random_case(seed=1600 + i, model="histogram", bins=3) for i in range(4)]
+        for case in cases:
+            for pattern, got in zip(PATTERNS, combinatorial_triple(case)):
+                assert got == pytest.approx(loop_combinatorial(case, pattern), rel=0, abs=1e-15)
+        field = small_field("histogram", seed=18, shape=(5, 6), bins=2)
+        prob = classify_field(field, EstimatorSpec(method="combinatorial"), workers=2)
+        for r, c in itertools.product(range(1, 4), range(1, 5)):
+            for ch in CHANNELS:
+                want = loop_combinatorial(case_at(field, r, c), ch)
+                assert prob.channel(ch)[r, c] == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_bin_count_guard(self):
         case = random_case(seed=1300, model="histogram", bins=COMBINATORIAL_MAX_BINS + 1)
@@ -623,11 +719,6 @@ class TestEstimatorSpec:
             EstimatorSpec(n_samples=0)
         with pytest.raises(ValueError):
             EstimatorSpec(c=0)
-
-
-class NoProcessPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("the closed form and Monte Carlo must not start a process pool")
 
 
 def small_field(kind: str, seed: int = 0, shape=(7, 8), members: int = 24,
@@ -803,33 +894,46 @@ class TestClassifyField:
             assert np.array_equal(one.p_saddle, two.p_saddle)
             assert np.array_equal(one.valid, two.valid)
 
-    def test_closed_form_workers_use_no_process_pool(self, monkeypatch):
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", NoProcessPool)
+    def test_every_method_runs_on_threads(self, monkeypatch):
+        # With workers above 1 every method runs its chunks on the one
+        # thread pool: starting a process raises, and each channel is the
+        # same to the bit on 1, 2 and 3 workers.
+        def no_process(self):
+            raise AssertionError("classify_field must not start a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        threads = threading.active_count()
+        runs = []
         # 58 x 58 = 3364 interior pixels: several full closed-form chunks
         # and a partial tail
         for kind in ("uniform", "epanechnikov", "histogram"):
             field = small_field(kind, seed=13, shape=(60, 60), bins=5)
             chunk = engine.closed_chunk_pixels(field.model)
             assert 3364 > 2 * chunk and 3364 % chunk != 0
-            one = classify_field(field, workers=1)
-            for workers in (2, 3):
-                many = classify_field(field, workers=workers)
-                for ch in CHANNELS:
-                    assert np.array_equal(one.channel(ch), many.channel(ch))
-
-    def test_monte_carlo_workers_use_no_process_pool(self, monkeypatch):
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", NoProcessPool)
-        # 28 interior rows: tiles of 22 + 6 rows on one worker, each in
-        # blocks of 297 + 3 draws; chunks of 14 + 14 rows on two workers
-        # and 10 + 10 + 8 on three
-        est = EstimatorSpec(method="monte_carlo", n_samples=300, seed=4)
+            runs.append((field, EstimatorSpec()))
+        # 28 interior rows: Monte Carlo tiles of 22 + 6 rows on one worker,
+        # each in blocks of 297 + 3 draws; chunks of 14 + 14 rows on two
+        # workers and 10 + 10 + 8 on three
+        mc = EstimatorSpec(method="monte_carlo", n_samples=300, seed=4)
         draws, tiles = engine._mc_tiles(30, 12, 300, engine.GRID_DRAWS)
         assert (draws, [sl.stop - sl.start - 2 for sl in tiles]) == (297, [22, 6])
         for kind in ("uniform", "histogram", "gaussian"):
-            field = small_field(kind, seed=16, shape=(30, 12), bins=5)
+            runs.append((small_field(kind, seed=16, shape=(30, 12), bins=5), mc))
+        # 10 x 11 = 110 interior pixels: semianalytical tiles of 13 pixels
+        # that end in a partial one on every worker count, and
+        # combinatorial blocks of 37, 74 and 110 of the 243 bin
+        # combinations on 1, 2 and 3 workers, each ending in a partial one
+        hist = small_field("histogram", seed=17, shape=(12, 13), bins=3)
+        semi = EstimatorSpec(method="semianalytical", c=2500, seed=4)
+        assert engine.TILE_DRAWS // semi.c == 13
+        assert [engine.COMB_STENCILS // math.ceil(110 / w) for w in (1, 2, 3)] == [37, 74, 110]
+        runs += [(hist, semi), (hist, EstimatorSpec(method="combinatorial"))]
+        for field, est in runs:
             one = classify_field(field, est, workers=1)
             for workers in (2, 3):
                 many = classify_field(field, est, workers=workers)
+                # the pool's threads are joined before classify_field returns
+                assert threading.active_count() == threads
                 for ch in CHANNELS:
                     assert np.array_equal(one.channel(ch), many.channel(ch))
 
@@ -924,39 +1028,6 @@ class TestClassifyField:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20
-
-    def test_fork_after_threaded_closed_form_does_not_warn(self):
-        # Python 3.12+ warns (DeprecationWarning) when os.fork() runs while
-        # other threads are alive, so the thread pools of the closed form
-        # and Monte Carlo must be gone before the semianalytical estimator
-        # forks its workers.  The warning is recorded, not raised, because
-        # os.fork() emits it after the child exists.  A fresh interpreter
-        # with one BLAS thread counts only the threads critprob starts.
-        script = "\n".join([
-            "import threading, warnings",
-            "import numpy as np",
-            "from critprob.engine import EstimatorSpec, classify_field",
-            "from critprob.fields import EnsembleStack, ModelSpec, UncertainField",
-            "stack = EnsembleStack(np.random.default_rng(0).uniform(0, 1, (8, 12, 12)))",
-            "field = UncertainField.from_ensemble(stack, ModelSpec(kind='histogram', bins=3))",
-            "with warnings.catch_warnings(record=True) as caught:",
-            "    warnings.simplefilter('always', DeprecationWarning)",
-            "    classify_field(field, workers=2)",
-            "    assert threading.active_count() == 1, threading.enumerate()",
-            "    classify_field(field, EstimatorSpec(method='monte_carlo', n_samples=50), workers=2)",
-            "    assert threading.active_count() == 1, threading.enumerate()",
-            "    est = EstimatorSpec(method='semianalytical', c=50)",
-            "    classify_field(field, est, workers=2)",
-            "forks = [str(w.message) for w in caught if 'multi-threaded' in str(w.message)]",
-            "assert not forks, forks",
-        ])
-        src = os.path.dirname(os.path.dirname(engine.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
 
     def test_non_finite_output_raises(self):
         # the bands of a +/-1e308 raster with a 1e308 error bound; the

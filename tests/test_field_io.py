@@ -290,6 +290,22 @@ class TestProbabilityRoundtrip:
         planes = np.stack([prob.p_min, prob.p_max, prob.p_saddle, prob.valid.astype(np.float64)])
         assert path.read_bytes() == b"UCVF1 6 5 4\n" + planes.astype("<f4").tobytes()
 
+    def test_ucvf_write_working_set(self, tmp_path):
+        # the 256 x 256 float32 planes take 1.00 MiB, and the write peaks
+        # at 1.005 MiB (tracemalloc), so the payload is written without a
+        # second copy; the bound is that peak plus 20%
+        shape = (256, 256)
+        prob = field_of(np.random.default_rng(3).uniform(0.0, 1.0, 3 * 256 * 256), shape)
+        save_probability_field(prob, tmp_path / "warm.ucvf")  # first-call caches
+        tracemalloc.start()
+        try:
+            save_probability_field(prob, tmp_path / "prob.ucvf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 2**20
+        assert (tmp_path / "prob.ucvf").read_bytes() == (tmp_path / "warm.ucvf").read_bytes()
+
     def test_masked_pixels_serialized_invalid(self, tmp_path):
         prob = sample_prob()
         path = tmp_path / "prob.csv"
