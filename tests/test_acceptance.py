@@ -234,16 +234,15 @@ def test_09_parallel_determinism_and_pixel_scaling():
     large = _uniform_ackley_field(320, 160, members=12, seed=5)
     classify_field(small, closed)  # warm up caches before timing
 
-    def median_time(f):
-        times = []
-        for _ in range(5):
+    # The two sizes are timed in alternating rounds, so a change in the
+    # host's load during the runs weighs on both medians alike.
+    times = {id(small): [], id(large): []}
+    for _ in range(7):
+        for f in (small, large):
             t0 = time.perf_counter()
             classify_field(f, closed)
-            times.append(time.perf_counter() - t0)
-        return sorted(times)[len(times) // 2]
-
-    t_small = median_time(small)
-    t_large = median_time(large)
+            times[id(f)].append(time.perf_counter() - t0)
+    t_small, t_large = (sorted(times[id(f)])[3] for f in (small, large))
     ratio = t_large / t_small
     ok = identical and ratio <= 2.5
     _report(

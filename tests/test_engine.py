@@ -721,6 +721,25 @@ class TestEstimatorSpec:
             EstimatorSpec(c=0)
 
 
+def assert_same_on_threads(monkeypatch, runs) -> None:
+    """Each (field, estimator) run gives the same channels, to the bit, on
+    1, 2 and 3 workers, and starts no process: with workers above 1 every
+    method runs its chunks on the one thread pool, whose threads are
+    joined before ``classify_field`` returns."""
+    def no_process(self):
+        raise AssertionError("classify_field must not start a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    threads = threading.active_count()
+    for field, est in runs:
+        one = classify_field(field, est, workers=1)
+        for workers in (2, 3):
+            many = classify_field(field, est, workers=workers)
+            assert threading.active_count() == threads
+            for ch in CHANNELS:
+                assert np.array_equal(one.channel(ch), many.channel(ch))
+
+
 def small_field(kind: str, seed: int = 0, shape=(7, 8), members: int = 24,
                 bins: int = 4) -> UncertainField:
     rng = np.random.default_rng(seed)
@@ -894,31 +913,31 @@ class TestClassifyField:
             assert np.array_equal(one.p_saddle, two.p_saddle)
             assert np.array_equal(one.valid, two.valid)
 
-    def test_every_method_runs_on_threads(self, monkeypatch):
-        # With workers above 1 every method runs its chunks on the one
-        # thread pool: starting a process raises, and each channel is the
-        # same to the bit on 1, 2 and 3 workers.
-        def no_process(self):
-            raise AssertionError("classify_field must not start a process")
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
-        threads = threading.active_count()
-        runs = []
+    def test_closed_form_workers_use_no_process_pool(self, monkeypatch):
         # 58 x 58 = 3364 interior pixels: several full closed-form chunks
         # and a partial tail
+        runs = []
         for kind in ("uniform", "epanechnikov", "histogram"):
             field = small_field(kind, seed=13, shape=(60, 60), bins=5)
             chunk = engine.closed_chunk_pixels(field.model)
             assert 3364 > 2 * chunk and 3364 % chunk != 0
             runs.append((field, EstimatorSpec()))
-        # 28 interior rows: Monte Carlo tiles of 22 + 6 rows on one worker,
-        # each in blocks of 297 + 3 draws; chunks of 14 + 14 rows on two
-        # workers and 10 + 10 + 8 on three
-        mc = EstimatorSpec(method="monte_carlo", n_samples=300, seed=4)
+        assert_same_on_threads(monkeypatch, runs)
+
+    def test_monte_carlo_workers_use_no_process_pool(self, monkeypatch):
+        # 28 interior rows: tiles of 22 + 6 rows on one worker, each in
+        # blocks of 297 + 3 draws; chunks of 14 + 14 rows on two workers
+        # and 10 + 10 + 8 on three
+        est = EstimatorSpec(method="monte_carlo", n_samples=300, seed=4)
         draws, tiles = engine._mc_tiles(30, 12, 300, engine.GRID_DRAWS)
         assert (draws, [sl.stop - sl.start - 2 for sl in tiles]) == (297, [22, 6])
-        for kind in ("uniform", "histogram", "gaussian"):
-            runs.append((small_field(kind, seed=16, shape=(30, 12), bins=5), mc))
+        runs = [
+            (small_field(kind, seed=16, shape=(30, 12), bins=5), est)
+            for kind in ("uniform", "histogram", "gaussian")
+        ]
+        assert_same_on_threads(monkeypatch, runs)
+
+    def test_every_method_runs_on_threads(self, monkeypatch):
         # 10 x 11 = 110 interior pixels: semianalytical tiles of 13 pixels
         # that end in a partial one on every worker count, and
         # combinatorial blocks of 37, 74 and 110 of the 243 bin
@@ -927,15 +946,9 @@ class TestClassifyField:
         semi = EstimatorSpec(method="semianalytical", c=2500, seed=4)
         assert engine.TILE_DRAWS // semi.c == 13
         assert [engine.COMB_STENCILS // math.ceil(110 / w) for w in (1, 2, 3)] == [37, 74, 110]
-        runs += [(hist, semi), (hist, EstimatorSpec(method="combinatorial"))]
-        for field, est in runs:
-            one = classify_field(field, est, workers=1)
-            for workers in (2, 3):
-                many = classify_field(field, est, workers=workers)
-                # the pool's threads are joined before classify_field returns
-                assert threading.active_count() == threads
-                for ch in CHANNELS:
-                    assert np.array_equal(one.channel(ch), many.channel(ch))
+        assert_same_on_threads(
+            monkeypatch, [(hist, semi), (hist, EstimatorSpec(method="combinatorial"))]
+        )
 
     def test_closed_form_chunk_layout_does_not_change_results(self, monkeypatch):
         # 5 x 5 = 25 interior pixels: chunks of 1, 2 and 7 pixels, the
