@@ -110,6 +110,11 @@ def _validated_estimator(args: argparse.Namespace, parser: argparse.ArgumentPars
     )
 
 
+def _validate_outputs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    if not (args.gamma > 0 and math.isfinite(args.gamma)):
+        parser.error("--gamma must be positive and finite")
+
+
 def _write_outputs(prob, args: argparse.Namespace) -> None:
     if args.out:
         fmt = "csv" if str(args.out).endswith(".csv") else "ucvf"
@@ -126,6 +131,7 @@ def _run_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if args.k <= 0:
         parser.error("--k must be positive")
     estimator = _validated_estimator(args, parser)
+    _validate_outputs(args, parser)
     stack = field_io.load_ensemble(args.input)
     if args.normalize == "on":
         stack, scale, offset = stack.normalized()
@@ -141,6 +147,7 @@ def _run_from_scalar(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     if args.eb < 0:
         parser.error("--eb must be nonnegative")
     estimator = _validated_estimator(args, parser)
+    _validate_outputs(args, parser)
     values = field_io.load_scalar_field(args.input)
     field = UncertainField.from_scalar(values, args.eb)
     prob = classify_field(field, estimator, workers=args.workers)
@@ -149,9 +156,12 @@ def _run_from_scalar(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 
 def _run_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    default = 64 if args.kind == "ackley" else 128
+    width = default if args.width is None else args.width
+    height = default if args.height is None else args.height
+    if width < 1 or height < 1:
+        parser.error("--width and --height must be positive")
     if args.kind == "ackley":
-        width = args.width or 64
-        height = args.height or 64
         if args.members < 1 or args.noise_amp < 0:
             parser.error("--members must be >= 1 and --noise-amp >= 0")
         stack = synth.ackley_ensemble(
@@ -160,8 +170,6 @@ def _run_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         field_io.save_ensemble(stack, args.out)
         print(f"wrote {stack.members}-member {width}x{height} ackley ensemble to {args.out}")
         return 0
-    width = args.width or 128
-    height = args.height or 128
     true_members = args.members - args.outlier_members
     if true_members < 0 or args.outlier_members < 0:
         parser.error("--members must cover --outlier-members")

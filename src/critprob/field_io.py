@@ -22,6 +22,9 @@ below 1e-4, non-finite) are formatted one at a time by ``%``.
 
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
 
 from .fields import CHANNELS, EnsembleStack, ProbabilityField
@@ -54,30 +57,40 @@ def _write_ucvf(path, width: int, height: int, planes: np.ndarray) -> None:
 
 
 def _read_ucvf(path) -> tuple[int, int, np.ndarray]:
+    """Header dimensions and a new (channels, height, width) float32 array.
+
+    The payload is read straight into the array, with no bytes copy;
+    its values are not checked here.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise UcvfFormatError("missing header line")
-    try:
-        fields = raw[:newline].decode("ascii").split()
-    except UnicodeDecodeError as exc:
-        raise UcvfFormatError("header is not ASCII") from exc
-    if len(fields) != 4 or fields[0] != UCVF_MAGIC:
-        raise UcvfFormatError(f"expected '{UCVF_MAGIC} <w> <h> <c>' header")
-    try:
-        width, height, channels = (int(v) for v in fields[1:])
-    except ValueError as exc:
-        raise UcvfFormatError("header dimensions are not integers") from exc
-    if width < 1 or height < 1 or channels < 1:
-        raise UcvfFormatError("header dimensions must be positive")
-    payload = raw[newline + 1 :]
-    expected = 4 * width * height * channels
-    if len(payload) != expected:
-        raise UcvfPayloadError(
-            f"payload holds {len(payload)} bytes, header implies {expected}"
-        )
-    planes = np.frombuffer(payload, dtype="<f4").reshape(channels, height, width)
+        header = fh.readline()
+        if not header.endswith(b"\n"):
+            raise UcvfFormatError("missing header line")
+        try:
+            fields = header.decode("ascii").split()
+        except UnicodeDecodeError as exc:
+            raise UcvfFormatError("header is not ASCII") from exc
+        if len(fields) != 4 or fields[0] != UCVF_MAGIC:
+            raise UcvfFormatError(f"expected '{UCVF_MAGIC} <w> <h> <c>' header")
+        try:
+            width, height, channels = (int(v) for v in fields[1:])
+        except ValueError as exc:
+            raise UcvfFormatError("header dimensions are not integers") from exc
+        if width < 1 or height < 1 or channels < 1:
+            raise UcvfFormatError("header dimensions must be positive")
+        size = os.fstat(fh.fileno()).st_size - len(header)
+        expected = 4 * width * height * channels
+        if size != expected:
+            raise UcvfPayloadError(f"payload holds {size} bytes, header implies {expected}")
+        planes = np.empty((channels, height, width), dtype="<f4")
+        read = fh.readinto(planes)
+        if read != expected:
+            raise UcvfPayloadError(f"payload holds {read} bytes, header implies {expected}")
+    return width, height, planes
+
+
+def _read_finite_ucvf(path) -> tuple[int, int, np.ndarray]:
+    width, height, planes = _read_ucvf(path)
     if not np.isfinite(planes).all():
         raise UcvfValueError("payload holds non-finite values")
     return width, height, planes
@@ -88,8 +101,12 @@ def save_ensemble(stack: EnsembleStack, path) -> None:
 
 
 def load_ensemble(path) -> EnsembleStack:
+    """The member stack of an ensemble UCVF, kept in the array it was read into."""
     _, _, planes = _read_ucvf(path)
-    return EnsembleStack(np.array(planes, dtype=np.float32))
+    try:
+        return EnsembleStack(planes)
+    except ValueError as exc:  # the stack's own finiteness check
+        raise UcvfValueError("payload holds non-finite values") from exc
 
 
 _CSV_HEADER = b"x,y,p_min,p_max,p_saddle,valid\n"
@@ -253,7 +270,7 @@ def save_probability_field(field: ProbabilityField, path, format: str = "ucvf") 
 
 def load_probability_field(path, format: str = "ucvf") -> ProbabilityField:
     if format == "ucvf":
-        width, height, planes = _read_ucvf(path)
+        width, height, planes = _read_finite_ucvf(path)
         if planes.shape[0] != 4:
             raise UcvfFormatError("probability fields carry exactly 4 channels")
         out = ProbabilityField.empty(height, width)
@@ -282,8 +299,8 @@ def export_heatmap(field: ProbabilityField, channel: str, path, gamma: float = 1
     """8-bit grayscale P5 image of one channel; masked pixels are black."""
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError("gamma must be positive and finite")
     p = np.clip(field.channel(channel), 0.0, 1.0)
     gray = np.round(255.0 * p**gamma)
     gray[~field.valid] = 0.0
@@ -301,7 +318,7 @@ def save_scalar_field(values: np.ndarray, path) -> None:
 
 
 def load_scalar_field(path) -> np.ndarray:
-    width, height, planes = _read_ucvf(path)
+    width, height, planes = _read_finite_ucvf(path)
     if planes.shape[0] != 1:
         raise UcvfFormatError("scalar fields carry exactly 1 channel")
     return np.array(planes[0], dtype=np.float64)

@@ -64,6 +64,23 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    @pytest.mark.parametrize("kind", ["ackley", "mixture"])
+    @pytest.mark.parametrize("size", [["--width", "0"], ["--height", "0"],
+                                      ["--width", "0", "--height", "0"], ["--width", "-3"]])
+    def test_non_positive_size_exits_two(self, tmp_path, kind, size):
+        out = tmp_path / "x.ucvf"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", kind, *size, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_absent_size_takes_default(self, tmp_path):
+        out = tmp_path / "x.ucvf"
+        assert main(["synth", "ackley", "--height", "5", "--members", "2", "--out", str(out)]) == 0
+        stack = load_ensemble(str(out))
+        assert (stack.height, stack.width) == (5, 64)
+
+
 class TestCompute:
     def test_round_trip_matches_library(self, tmp_path, capsys):
         src = tmp_path / "ens.ucvf"
@@ -217,6 +234,21 @@ class TestFromScalar:
         with pytest.raises(SystemExit) as exc:
             main(["from-scalar", str(tmp_path / "s.ucvf"), "--eb", "-1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
+    def test_bad_gamma_exits_two_before_writing(self, tmp_path, gamma):
+        from critprob import field_io
+
+        ens, scalar = tmp_path / "ens.ucvf", tmp_path / "scalar.ucvf"
+        field_io.save_ensemble(ackley_ensemble(8, 8, members=3, seed=1), str(ens))
+        field_io.save_scalar_field(np.random.default_rng(5).normal(size=(9, 11)), str(scalar))
+        commands = (["compute", str(ens)], ["from-scalar", str(scalar), "--eb", "0.1"])
+        for command in commands:
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--workers", "1", "--gamma", gamma,
+                      "--out", str(tmp_path / "p.csv"), "--heatmap", str(tmp_path / "p.pgm")])
+            assert exc.value.code == 2
+        assert sorted(tmp_path.iterdir()) == [ens, scalar]
 
 
 class TestValidate:

@@ -160,6 +160,31 @@ class TestEnsembleRoundtrip:
         save_ensemble(load_ensemble(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_loaded_stack_is_writable_float32(self, tmp_path):
+        path = tmp_path / "stack.ucvf"
+        save_ensemble(sample_stack(), path)
+        values = load_ensemble(path).values
+        assert values.dtype == np.float32
+        assert values.flags.c_contiguous and values.flags.writeable and values.flags.owndata
+        values[0, 0, 0] = 1.5
+        assert values[0, 0, 0] == 1.5
+
+    def test_load_reads_payload_once(self, tmp_path):
+        # 40 x 128 x 128 members, a 2.5 MiB payload: read into the stack's
+        # own array, with no bytes copy and no second array
+        stack = EnsembleStack(np.random.default_rng(2).normal(size=(40, 128, 128)))
+        path = tmp_path / "big.ucvf"
+        save_ensemble(stack, path)
+        load_ensemble(path)
+        tracemalloc.start()
+        try:
+            loaded = load_ensemble(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.values, stack.values)
+        assert peak < 1.1 * stack.values.nbytes
+
     def test_header_contents(self, tmp_path):
         path = tmp_path / "stack.ucvf"
         save_ensemble(sample_stack(), path)
@@ -212,6 +237,30 @@ class TestUcvfErrors:
         path.write_bytes(b"UCVF1 1 1 1\n" + payload)
         with pytest.raises(UcvfValueError):
             load_ensemble(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_every_loader(self, tmp_path, bad):
+        planes = np.zeros((4, 3, 5), dtype="<f4")
+        planes[3, 2, 4] = bad
+        path = tmp_path / "bad.ucvf"
+        path.write_bytes(b"UCVF1 5 3 4\n" + planes.tobytes())
+        with pytest.raises(UcvfValueError):
+            load_ensemble(path)
+        with pytest.raises(UcvfValueError):
+            load_probability_field(path)
+        path.write_bytes(b"UCVF1 5 3 1\n" + planes[3].tobytes())
+        with pytest.raises(UcvfValueError):
+            load_scalar_field(path)
+
+    def test_short_payload_every_loader(self, tmp_path):
+        path = tmp_path / "short.ucvf"
+        path.write_bytes(b"UCVF1 5 3 4\n" + np.zeros(59, dtype="<f4").tobytes())
+        for load in (load_ensemble, load_probability_field):
+            with pytest.raises(UcvfPayloadError, match="payload holds 236 bytes, header implies 240"):
+                load(path)
+        path.write_bytes(b"UCVF1 5 3 1\n" + b"\x00" * 61)
+        with pytest.raises(UcvfPayloadError, match="payload holds 61 bytes"):
+            load_scalar_field(path)
 
     def test_error_hierarchy(self):
         assert issubclass(UcvfFormatError, UcvfError)
@@ -387,6 +436,10 @@ class TestHeatmap:
             export_heatmap(prob, "ridge", tmp_path / "x.pgm")
         with pytest.raises(ValueError):
             export_heatmap(prob, "min", tmp_path / "x.pgm", gamma=0.0)
+        for gamma in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                export_heatmap(prob, "min", tmp_path / "x.pgm", gamma=gamma)
+        assert not (tmp_path / "x.pgm").exists()
 
 
 class TestScalarField:

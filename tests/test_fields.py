@@ -1,13 +1,17 @@
 """Tests for ensemble containers and per-pixel model fitting."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from critprob import fields
 from critprob.distributions import (
     GaussianSampler,
+    default_epsilon,
+    degenerate_width,
     epanechnikov_from_samples,
     histogram_from_samples,
     uniform_from_samples,
@@ -173,6 +177,175 @@ class TestFromEnsemble:
                 UncertainField.from_ensemble(wide, ModelSpec(kind="epanechnikov", k=1e300))
 
 
+def whole_stack_fit(values, model: ModelSpec) -> dict:
+    """The fit as one pass over a float64 copy of the whole stack."""
+    values = np.asarray(values).astype(np.float64)
+    eps = default_epsilon(values)
+    if model.kind in ("uniform", "histogram"):
+        lo, hi = values.min(axis=0), values.max(axis=0)
+        degenerate = hi <= lo
+        half = 0.5 * degenerate_width(lo, eps)
+        lo, hi = np.where(degenerate, lo - half, lo), np.where(degenerate, lo + half, hi)
+        if model.kind == "uniform":
+            return {"lo": lo, "hi": hi}
+        h = model.bins
+        values -= lo
+        values *= h / (hi - lo)
+        idx = np.floor(values, out=values).astype(np.intp)
+        np.clip(idx, 0, h - 1, out=idx)
+        idx += h * np.arange(lo.size).reshape(lo.shape)
+        counts = np.bincount(idx.ravel(), minlength=lo.size * h)
+        weights = (counts / idx.shape[0]).reshape(lo.shape + (h,))
+        return {"lo": lo, "hi": hi, "weights": weights}
+    mean = values.mean(axis=0)
+    std = values.std(axis=0, ddof=1)
+    if model.kind == "epanechnikov":
+        halfwidth = np.maximum(model.k * std, 0.5 * degenerate_width(mean, eps))
+        return {"mean": mean, "halfwidth": halfwidth}
+    return {"mean": mean, "stddev": std}
+
+
+FIT_MODELS = [ModelSpec("uniform"), ModelSpec("epanechnikov"), ModelSpec("gaussian"),
+              ModelSpec("histogram", bins=4), ModelSpec("histogram", bins=5)]
+
+
+def model_id(model: ModelSpec) -> str:
+    return f"histogram{model.bins}" if model.kind == "histogram" else model.kind
+
+
+def assert_fit_matches_whole_stack(values, model: ModelSpec) -> None:
+    field = UncertainField.from_ensemble(EnsembleStack(values), model)
+    ref = whole_stack_fit(values, model)
+    assert field.params.keys() == ref.keys()
+    for name, expected in ref.items():
+        got = field.params[name]
+        if name == "weights":  # constant pixels get equal weights, tested below
+            live = np.asarray(values).min(axis=0) < np.asarray(values).max(axis=0)
+            got, expected = got[live], expected[live]
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected), (model, name)
+
+
+def member_values(shape, seed=0, offset=0.0, constant=True):
+    rng = np.random.default_rng(seed)
+    values = (offset + rng.normal(0.0, 3.0, shape)).astype(np.float32)
+    if constant and shape[1] * shape[2] > 1:
+        values[:, -1, 0] = values[0, -1, 0]  # one constant pixel
+    return values
+
+
+class TestTiledFit:
+    """Row-tiled fits equal one pass over a float64 copy of the stack, bit for bit."""
+
+    @pytest.mark.parametrize("model", FIT_MODELS, ids=model_id)
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_member_counts(self, model, offset):
+        width = 16
+        # rows per tile step from 3 to 2 between these member counts
+        boundary = fields.FIT_TILE // (3 * width)
+        assert fields.FIT_TILE // (boundary * width) == 3
+        assert fields.FIT_TILE // ((boundary + 2) * width) == 2
+        for members in (1, 2, boundary - 1, boundary, boundary + 1, boundary + 2):
+            if members < 2 and model.kind in ("epanechnikov", "gaussian"):
+                continue
+            values = member_values((members, 7, width), seed=members, offset=offset)
+            assert_fit_matches_whole_stack(values, model)
+
+    @pytest.mark.parametrize("model", FIT_MODELS, ids=model_id)
+    @pytest.mark.parametrize("shape", [(9, 37, 23), (5, 8, 3), (6, 7, 1), (7, 2, 1),
+                                       (4, 1, 5), (3, 1, 1), (50, 13, 1)])
+    @pytest.mark.parametrize("tile_rows", [1, 2, 3])
+    def test_small_tiles(self, monkeypatch, model, shape, tile_rows):
+        # tiles of a few rows, heights that are no multiple of them, and
+        # one-column rasters, whose last single row must not be a tile
+        members, _, width = shape
+        monkeypatch.setattr(fields, "FIT_TILE", tile_rows * members * width)
+        for offset in (0.0, 1e6):
+            assert_fit_matches_whole_stack(member_values(shape, offset=offset), model)
+
+    def test_row_tiles_cover_rows_once(self, monkeypatch):
+        monkeypatch.setattr(fields, "FIT_TILE", 6)
+        for members, height, width in ((3, 7, 1), (3, 7, 2), (3, 1, 1), (40, 5, 3)):
+            values = np.zeros((members, height, width), dtype=np.float32)
+            tiles = [rows for rows, _ in fields._float64_tiles(values)]
+            assert [t.start for t in tiles] == [0] + [t.stop for t in tiles[:-1]]
+            assert tiles[-1].stop == height
+            if width == 1 and height > 1:
+                assert all(t.stop - t.start >= 2 for t in tiles)
+
+    @pytest.mark.parametrize("model", FIT_MODELS, ids=model_id)
+    def test_float64_and_strided_inputs(self, model):
+        wide = np.random.default_rng(3).normal(1e6, 5.0, (6, 9, 14))
+        strided = member_values((6, 9, 28))[:, :, ::2]
+        assert not strided.flags.c_contiguous
+        for values in (wide, strided):
+            stack = EnsembleStack(values)
+            assert stack.values.dtype == np.float32 and stack.values.flags.c_contiguous
+            assert np.array_equal(stack.values, values.astype(np.float32))
+            assert_fit_matches_whole_stack(stack.values, model)
+
+    def test_float32_input_is_kept(self):
+        values = member_values((4, 5, 6))
+        assert EnsembleStack(values).values is values
+
+    def test_normalized_matches_whole_stack(self, monkeypatch):
+        monkeypatch.setattr(fields, "FIT_TILE", 2 * 5 * 4)
+        values = member_values((5, 7, 4), offset=3.0)
+        norm, scale, offset = EnsembleStack(values).normalized()
+        vmin = float(values.min())
+        expected = ((values.astype(np.float64) - vmin) * scale).astype(np.float32)
+        assert np.array_equal(norm.values, expected)
+        assert offset == -vmin * scale
+
+    def test_errors_raised_without_warnings(self, monkeypatch):
+        monkeypatch.setattr(fields, "FIT_TILE", 8)
+        single = EnsembleStack(member_values((1, 4, 4)))
+        wide = EnsembleStack(np.random.default_rng(1).uniform(0.0, 1e30, (4, 5, 5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("epanechnikov", "gaussian"):
+                with pytest.raises(ValueError, match="needs at least two members"):
+                    UncertainField.from_ensemble(single, ModelSpec(kind=kind))
+            with pytest.raises(ValueError, match="25 fitted supports overflow float64"):
+                UncertainField.from_ensemble(wide, ModelSpec(kind="epanechnikov", k=1e300))
+            with pytest.raises(ValueError, match="overflow float32"):
+                EnsembleStack(np.full((2, 3, 3), 1e308))
+            with pytest.raises(ValueError, match="must be finite"):
+                EnsembleStack(np.full((2, 3, 3), np.nan, dtype=np.float32))
+
+    def test_fit_holds_no_float64_stack(self):
+        # 40 x 256 x 256 members: 20 MiB in float64, 10 MiB as the float32 stack
+        stack = EnsembleStack(member_values((40, 256, 256)))
+        for model in (ModelSpec("uniform"), ModelSpec("epanechnikov"), ModelSpec("histogram")):
+            UncertainField.from_ensemble(stack, model)
+            tracemalloc.start()
+            try:
+                UncertainField.from_ensemble(stack, model)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # outputs: at most 7 float64 planes of 0.5 MiB (histogram(5): lo, hi, weights)
+            assert peak < 8 * 2**20, (model, peak)
+
+
+class TestDegenerateHistogram:
+    @pytest.mark.parametrize("bins", [4, 5])
+    def test_constant_pixel_cdf_matches_per_case_fit(self, bins):
+        values = np.zeros((6, 3, 3), dtype=np.float32)
+        values[:, 0, :] = np.arange(6, dtype=np.float32)[:, None] * 2.0
+        values[:, 1, 1] = 7.0
+        field = UncertainField.from_ensemble(EnsembleStack(values), ModelSpec("histogram", bins=bins))
+        eps = default_epsilon(values.astype(np.float64))
+        d = field.dist_at(1, 1)
+        ref = histogram_from_samples(values[:, 1, 1].astype(np.float64), bins, eps=eps)
+        assert (d.support.lo, d.support.hi) == (ref.support.lo, ref.support.hi)
+        assert np.array_equal(field.params["weights"][1, 1], np.full(bins, 1.0 / bins))
+        assert d.cdf(7.0) == pytest.approx(0.5, abs=1e-12)
+        lo, hi = d.support.lo, d.support.hi
+        for x in np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 23):
+            assert d.cdf(x) == pytest.approx(ref.cdf(x), abs=1e-12)
+
+
 class TestFromScalar:
     def test_support_width_equals_bound(self):
         rng = np.random.default_rng(9)
@@ -206,6 +379,32 @@ class TestFromScalar:
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
             UncertainField.from_scalar(bad, 0.1)
+
+    def test_matches_whole_raster_widening(self):
+        # pixels near 1e20 have a band below their ulp and are widened;
+        # the others keep arr -/+ eb / 2
+        rng = np.random.default_rng(4)
+        raster = rng.normal(0.0, 2.0, (7, 9))
+        raster[2:5, 3:8] += 1e20
+        half = 0.5e-3
+        field = UncertainField.from_scalar(raster, 2 * half)
+        lo, hi = raster - half, raster + half
+        degenerate = hi <= lo
+        assert degenerate.sum() == 15
+        widen = 0.5 * degenerate_width(lo, default_epsilon(raster))
+        assert np.array_equal(field.params["lo"], np.where(degenerate, lo - widen, lo))
+        assert np.array_equal(field.params["hi"], np.where(degenerate, lo + widen, hi))
+
+    def test_non_finite_and_empty_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            raster = np.ones((3, 4))
+            raster[1, 2] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="scalar field values must be finite"):
+                    UncertainField.from_scalar(raster, 0.1)
+        with pytest.raises(ValueError, match="at least one pixel"):
+            UncertainField.from_scalar(np.ones((0, 4)), 0.1)
 
     def test_overflowing_fit_rejected(self):
         values = np.full((5, 5), 1e308)
