@@ -189,8 +189,8 @@ def _run_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _run_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.cases < 1 or args.samples < 1:
-        parser.error("--cases and --samples must be positive")
+    if args.cases < 1 or args.samples < 1 or args.bins < 1:
+        parser.error("--cases, --samples and --bins must be positive")
     if args.model == "gaussian-mc":
         parser.error("validate compares against the closed form; pick a bounded model")
     summary = bench.validate_random_cases(

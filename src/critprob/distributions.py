@@ -118,41 +118,39 @@ def box_muller(mean, stddev, u1, u2, out):
     return out
 
 
-def _bin_entries(cum, weights, j):
-    """``cum`` and ``weights`` at bin ``j`` of each row, as new arrays.
+def _bin_entries(mass, cdf, j):
+    """``mass`` and ``cdf`` of bin ``j`` of each row, as new arrays.
 
-    One flat ``np.take`` per table, over row * width + j, in place of
+    Bin j sits at column j + 1 of both ``histogram_table`` tables.  One
+    flat ``np.take`` per table, over row * width + j + 1, in place of
     ``take_along_axis``, which builds a broadcast index for each axis.
     ``j`` is shifted in place and restored.
     """
-    rows = np.arange(j.shape[0])[:, None]
-    h = weights.shape[1]
-    j += rows * (h + 1)
-    cw = np.take(cum, j)
-    j -= rows
-    wj = np.take(weights, j)
-    j -= rows * h
-    return cw, wj
+    shift = np.arange(j.shape[0])[:, None] * mass.shape[1] + 1
+    j += shift
+    wj, cw = np.take(mass, j), np.take(cdf, j)
+    j -= shift
+    return wj, cw
 
 
-def histogram_icdf(lo, binw, weights, cum, u, out):
+def histogram_icdf(lo, binw, mass, cdf, u, out):
     """Inverse CDF for equal-width histograms.
 
-    ``weights`` is (P, h), ``cum`` is the (P, h + 1) inclusive prefix sum
-    starting at 0, ``lo`` and ``binw`` are (P, 1), ``u`` is (P, n).
+    ``lo``, ``binw``, ``mass`` and ``cdf`` are a ``histogram_table``;
+    ``u`` is (P, n).
     """
-    h = weights.shape[1]
+    h = mass.shape[1] - 2
     top = u == 1.0
     j = np.zeros(u.shape, dtype=np.intp)
-    for k in range(1, h):
-        j += u >= cum[:, k : k + 1]
-    cw, wj = _bin_entries(cum, weights, j)
+    for k in range(2, h + 1):  # the lower edges of bins 1 .. h - 1
+        j += u >= cdf[:, k : k + 1]
+    wj, cw = _bin_entries(mass, cdf, j)
     # position within the bin, 0 in a bin of zero weight
     u -= cw
     filled = wj > 0.0
     np.divide(u, wj, out=u, where=filled)
     np.copyto(u, 0.0, where=np.logical_not(filled, out=filled))
-    # left bin edge lo + binw * j
+    # left bin edge lo + binw * j, as ``histogram_edges`` gives it
     np.multiply(binw, j, out=cw)
     cw += lo
     np.subtract(1.0, u, out=out)
@@ -164,14 +162,14 @@ def histogram_icdf(lo, binw, weights, cum, u, out):
     return out
 
 
-def histogram_cdf_values(lo, binw, weights, cum, x, out):
+def histogram_cdf_values(lo, binw, mass, cdf, x, out):
     """CDF of an equal-width histogram at ``x`` into ``out``; same shapes as above."""
-    h = weights.shape[1]
+    h = mass.shape[1] - 2
     np.subtract(x, lo, out=out)
     out /= binw
     j = np.floor(out, out=out).astype(np.intp)
     np.clip(j, 0, h - 1, out=j)
-    cw, wj = _bin_entries(cum, weights, j)
+    wj, cw = _bin_entries(mass, cdf, j)
     np.multiply(binw, j, out=out)
     out += lo
     np.subtract(x, out, out=out)
@@ -181,23 +179,36 @@ def histogram_cdf_values(lo, binw, weights, cum, x, out):
     return np.clip(out, 0.0, 1.0, out=out)
 
 
+def histogram_edges(lo, binw, h):
+    """The h + 1 edges ``lo + binw * k`` of equal-width bins, k = 0 .. h.
+
+    The one bin-edge rule, which the lookups above apply to their bin j.
+    ``lo`` and ``binw`` are scalars or ``histogram_table`` columns.
+    """
+    return lo + binw * np.arange(h + 1)
+
+
 def histogram_table(lo, hi, weights):
-    """Equal-width histograms as the kernels above take them.
+    """The one table of equal-width histograms, which every estimator reads.
 
     ``lo`` and ``hi`` are (P,) support bounds and ``weights`` the (P, h)
     bin masses, already normalized: they are used as given.  Returns the
-    (P, 1) columns ``lo`` and bin width, the weights, and their (P, h + 1)
-    prefix sums from 0, whose last entry is set to exactly 1 however the
-    sum rounds.
+    (P, 1) columns ``lo`` and bin width and two (P, h + 2) tables, the
+    masses (0, w, 0) and the CDF at the bins' lower edges (0, cum, 1),
+    whose last entry is exactly 1 however the sum rounds.  Bin j is at
+    column j + 1, so a bin index clipped to [-1, h] reads either side of
+    the support too.
     """
-    h = weights.shape[1]
-    cum = np.zeros((weights.shape[0], h + 1))
+    p, h = weights.shape
+    mass = np.zeros((p, h + 2))
+    mass[:, 1:-1] = weights
+    cdf = np.zeros((p, h + 2))
     # column adds in cumsum's order give its bits; cumsum walks many
     # short rows one at a time
-    for j in range(h):
-        np.add(cum[:, j], weights[:, j], out=cum[:, j + 1])
-    cum[:, -1] = 1.0
-    return lo[:, None], ((hi - lo) / h)[:, None], weights, cum
+    for j in range(1, h):
+        np.add(cdf[:, j], weights[:, j - 1], out=cdf[:, j + 1])
+    cdf[:, -1] = 1.0
+    return lo[:, None], ((hi - lo) / h)[:, None], mass, cdf
 
 
 def icdf_sampler(kind: str, lo, hi, weights):
@@ -270,10 +281,9 @@ class FiniteDistribution:
                 )
             else:
                 h = self.bin_weights.size
-                edges = lo + (hi - lo) * np.arange(h + 1) / h
                 binw = (hi - lo) / h
                 self._pdf = PiecewisePolynomial(
-                    edges, [[wk / binw] for wk in self.bin_weights]
+                    histogram_edges(lo, binw, h), [[wk / binw] for wk in self.bin_weights]
                 )
         return self._pdf
 

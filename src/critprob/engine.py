@@ -17,8 +17,8 @@ of survival and distribution factors.
 Grid classification evaluates the same integrals for every interior
 pixel at once on flat parameter arrays, with one node set per pixel for
 all three channels.  Each stencil is shifted so the center's support
-is centered on zero; every kink (support end or histogram bin edge of
-the five positions) is clipped to the center's support and sorted once,
+is centered on zero; every kink (support end or ``histogram_edges`` bin
+edge of the five positions) is clipped to the center's support and sorted once,
 and Gauss-Legendre nodes on each interval between kinks (8 for the
 Epanechnikov model, 3 otherwise) integrate every channel exactly.  A
 kink outside the center's support is clipped onto one of its ends, so
@@ -29,9 +29,9 @@ intervals and 24% of the histogram(5) ones.  The rest of the kernel
 runs on the live intervals alone, those of nonzero width, taken as one
 flat list with the pixel row of each.  What does not depend on the
 node is found once per live interval: each neighbor's CDF value at the
-midpoint and its slope, read for histograms from padded slope and CDF
-tables, and the center density times the half-width.  The kernel then
-takes one node at a time: the center weight and the four neighbor CDFs
+midpoint and its slope, read for histograms from ``histogram_table``,
+and the center density times the half-width.  The kernel then takes
+one node at a time: the center weight and the four neighbor CDFs
 at that node are written in place into a fixed (16, live intervals)
 workspace, and every channel, a different product of the same rows,
 adds its node term to its own row.  Each channel's sums are then scattered back into a zeroed
@@ -99,6 +99,7 @@ from .distributions import (
     GaussianSampler,
     box_muller,
     histogram_cdf_values,
+    histogram_edges,
     histogram_table,
     icdf_sampler,
 )
@@ -350,13 +351,8 @@ def _uniform_kernel_term(intervals, above, below) -> np.ndarray:
     return sum(pieces[1:], pieces[0])
 
 
-def _histogram_grid(lo, hi, weights) -> tuple[np.ndarray, np.ndarray]:
-    """(pixels, bins + 1) bin edges and the weights of equal-width histograms."""
-    h = weights.shape[-1]
-    return lo[:, None] + (hi - lo)[:, None] * np.arange(h + 1) / h, weights
-
-
-def _case_grids(case: NeighborhoodCase) -> list:
+def _comb_samplers(case: NeighborhoodCase) -> list:
+    """The ``_case_sampler`` of each position of a histogram case, center first."""
     _require_histograms(case)
     dists = (case.center, *case.neighbors)
     for d in dists:
@@ -365,10 +361,7 @@ def _case_grids(case: NeighborhoodCase) -> list:
                 f"combinatorial cost grows as bins**{len(dists)}; "
                 f"refusing more than {COMBINATORIAL_MAX_BINS} bins"
             )
-    return [
-        _histogram_grid(np.array([d.support.lo]), np.array([d.support.hi]), d.bin_weights[None])
-        for d in dists
-    ]
+    return [_case_sampler(d) for d in dists]
 
 
 # Stencils, bin combinations times pixels, per combinatorial block; its
@@ -379,31 +372,34 @@ def _case_grids(case: NeighborhoodCase) -> list:
 COMB_STENCILS = 4096
 
 
-def _comb_chunk(grids, channels) -> dict[str, np.ndarray]:
+def _comb_chunk(samplers, channels) -> dict[str, np.ndarray]:
     """Combinatorial probabilities of a batch of histogram stencils.
 
-    ``grids`` holds ``_histogram_grid`` (bin edges, weights) per position,
-    center first; bin counts may differ by position.  Every combination
-    of one bin per position is an all-uniform stencil with an exact
-    answer, weighted by its bin masses.  Each pattern lists the neighbors
-    the center must fall below and those it must fall above.  Each pixel
-    adds its combinations one at a time in one fixed order, so its sum
-    never depends on the batch or the block.
+    ``samplers`` holds the histogram ``_sampler`` triples of each
+    position, center first, as the semianalytical kernel takes them;
+    bin counts may differ by position.  Every combination of one bin per
+    position is an all-uniform stencil with an exact answer, cut at the
+    tables' ``histogram_edges`` and weighted by their bin masses.  Each
+    pattern lists the neighbors the center must fall below and those it
+    must fall above.  Each pixel adds its combinations one at a time in
+    one fixed order, so its sum never depends on the batch or the block.
     """
-    nbrs = list(range(1, len(grids)))
+    tables = [params for _, _, params in samplers]
+    edges = [histogram_edges(lo, binw, mass.shape[1] - 2) for lo, binw, mass, _ in tables]
+    nbrs = list(range(1, len(tables)))
     # below the first neighbor of each axis pair and above the second,
     # or the reverse
     first, second = nbrs[0::2], nbrs[1::2]
     terms = {"min": [(nbrs, [])], "max": [([], nbrs)], "saddle": [(first, second), (second, first)]}
-    m = grids[0][1].shape[0]
-    combos = np.array(list(itertools.product(*(range(w.shape[1]) for _, w in grids))))
+    m = edges[0].shape[0]
+    combos = np.array(list(itertools.product(*(range(e.shape[1] - 1) for e in edges))))
     step = max(1, COMB_STENCILS // m)
     out = {ch: np.zeros((1, m)) for ch in channels}
     for start in range(0, len(combos), step):
         bins = combos[start : start + step].T
         # (combinations, pixels) bin ends and the product of the bin masses
-        intervals = [(edges[:, j].T, edges[:, j + 1].T) for (edges, _), j in zip(grids, bins)]
-        wprod = math.prod(w[:, j].T for (_, w), j in zip(grids, bins))
+        intervals = [(e[:, j].T, e[:, j + 1].T) for e, j in zip(edges, bins)]
+        wprod = math.prod(mass[:, j + 1].T for (_, _, mass, _), j in zip(tables, bins))
         for ch in channels:
             found = [_uniform_kernel_term(intervals, *term) for term in terms[ch]]
             weighted = wprod * sum(found[1:], found[0])
@@ -421,11 +417,11 @@ def histogram_min_prob_combinatorial(case: NeighborhoodCase) -> float:
     serves as a cross-check for the factorized product integral rather
     than as a production path.
     """
-    return float(_comb_chunk(_case_grids(case), ("min",))["min"][0])
+    return float(_comb_chunk(_comb_samplers(case), ("min",))["min"][0])
 
 
 def combinatorial_triple(case: NeighborhoodCase) -> ProbabilityTriple:
-    stats = _comb_chunk(_case_grids(case), PATTERNS)
+    stats = _comb_chunk(_comb_samplers(case), PATTERNS)
     return ProbabilityTriple(*(float(stats[p][0]) for p in PATTERNS))
 
 
@@ -530,65 +526,49 @@ def _centered(kind: str, pos):
     return {**pos, **{k: pos[k] - origin for k in keys}}
 
 
-def _closed_kinks(kind: str, pos, lo, hi) -> np.ndarray:
+def _closed_kinks(lo, hi, table=None) -> np.ndarray:
     """Every kink of each stencil, (pixels, kinks), position by position.
 
     ``lo`` and ``hi`` are the (5, pixels) support bounds.  A support has
-    two kinks, its ends; a histogram has its ``bins + 1`` bin edges.
+    two kinks, its ends; a histogram has the ``histogram_edges`` of its
+    row of ``table``, the ``histogram_table`` of the 5 * pixels supports.
     """
-    if kind == "histogram":
-        bins = pos["weights"].shape[-1]
-        steps = np.arange(bins + 1) / bins
-        kinks = lo.T[:, :, None] + (hi - lo).T[:, :, None] * steps
-    else:
+    if table is None:
         kinks = np.stack([lo.T, hi.T], axis=2)
+    else:
+        # (pixels, 5, 1) columns, so the edges come out pixel by pixel
+        t_lo, binw = (col.reshape(5, -1).T[:, :, None] for col in table[:2])
+        kinks = histogram_edges(t_lo, binw, table[2].shape[1] - 2)
     return kinks.reshape(kinks.shape[0], -1)
-
-
-def _padded_tables(lo, hi, weights):
-    """Bin widths and padded slope and CDF tables of equal-width histograms.
-
-    ``lo`` and ``hi`` are (P,) support bounds and ``weights`` the (P, h)
-    normalized bin masses.  Row r of both (P, h + 2) tables holds a bin
-    below the support, the h bins, and a bin above it: the slopes are
-    (0, w / binw, 0) and the CDF values at the bins' lower edges are
-    (0, cum[:-1], 1), so a bin index clipped to [-1, h], plus one, looks up
-    the CDF piece on either side of the support as well as inside it.
-    """
-    _, binw, wn, cum = histogram_table(lo, hi, weights)
-    slope = np.zeros((wn.shape[0], wn.shape[1] + 2))
-    np.divide(wn, binw, out=slope[:, 1:-1])
-    cdf = np.empty_like(slope)
-    cdf[:, 0] = 0.0
-    cdf[:, 1:] = cum
-    return binw[:, 0], slope, cdf
 
 
 def _neighbor_lines(kind: str, p, nbr, mid, half):
     """Neighbor CDFs on each live interval, as affine functions of the node.
 
-    ``p`` holds the (5, pixels) stencil parameters, center first, and
-    for histograms the padded tables of ``_padded_tables`` for the same
-    5 * pixels rows.  ``nbr`` is the (4, L) rows of the east, north, west
-    and south neighbors of each of the L intervals, whose midpoints and
-    half-widths are ``mid`` and ``half``.  Returns the (4, L) value at
-    each midpoint and the change per unit node coordinate; the value at
-    node ``x`` is ``at_mid + slope * x``, and for the Epanechnikov model
-    it is the scaled coordinate ``u`` that the CDF cubic takes.  No
-    interval straddles one of the neighbor's kinks, so on each interval
-    its CDF is 0, 1, or a single polynomial piece, found once from the
-    interval midpoint.  Intervals outside the support get zero slope, so
+    ``p`` holds the (5, pixels) stencil parameters, center first, or
+    for histograms the ``histogram_table`` of the same 5 * pixels rows
+    with each mass divided by the bin width, the CDF's slope.  ``nbr``
+    is the (4, L) rows of the east, north, west and south neighbors of
+    each of the L intervals, whose midpoints and half-widths are ``mid``
+    and ``half``.  Returns the (4, L) value at each midpoint and the
+    change per unit node coordinate; the value at node ``x`` is
+    ``at_mid + slope * x``, and for the Epanechnikov model it is the
+    scaled coordinate ``u`` that the CDF cubic takes.  No interval
+    straddles one of the neighbor's kinks, so on each interval its CDF
+    is 0, 1, or a single polynomial piece, found once from the interval
+    midpoint.  Intervals outside the support get zero slope, so
     their nodes take the tail value exactly.
     """
     if kind == "histogram":
-        bins = p["slope"].shape[1] - 2
-        lo, binw = np.take(p["lo"], nbr), np.take(p["binw"], nbr)
+        t_lo, t_binw, slope_tab, cdf = p
+        bins = slope_tab.shape[1] - 2
+        lo, binw = np.take(t_lo, nbr), np.take(t_binw, nbr)
         j = np.floor((mid - lo) / binw)
         np.clip(j, -1, bins, out=j)
         at = nbr * (bins + 2) + 1
         at += j.astype(np.intp)
-        slope = np.take(p["slope"], at)
-        at_mid = np.take(p["cdf"], at)
+        slope = np.take(slope_tab, at)
+        at_mid = np.take(cdf, at)
         at_mid += slope * (mid - (lo + binw * j))
         slope *= half
         return np.clip(at_mid, 0.0, 1.0, out=at_mid), slope
@@ -671,7 +651,14 @@ def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
     """
     pos = _centered(kind, pos)
     lo, hi = _support_bounds(kind, pos)
-    pts = _closed_kinks(kind, pos, lo, hi)
+    table = None
+    if kind == "histogram":
+        bins = pos["weights"].shape[-1]
+        pos = table = histogram_table(lo.ravel(), hi.ravel(), pos["weights"].reshape(-1, bins))
+        # each mass becomes its slope mass / bin width, in place; the pads
+        # stay 0, on a support of zero width too
+        np.divide(table[2][:, 1:-1], table[1], out=table[2][:, 1:-1])
+    pts = _closed_kinks(lo, hi, table)
     np.maximum(pts, lo[_POS_C, :, None], out=pts)
     np.minimum(pts, hi[_POS_C, :, None], out=pts)
     pts.sort(axis=1)
@@ -687,12 +674,6 @@ def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
     # rows of the east, north, west, south neighbors among the 5 * pixels
     nbr = row + npix * np.arange(1, 5)[:, None]
     xi, wts = gauss_legendre_nodes(8 if kind == "epanechnikov" else 3)
-    if kind == "histogram":
-        bins = pos["weights"].shape[-1]
-        binw, slope_tab, cdf_tab = _padded_tables(
-            lo.ravel(), hi.ravel(), pos["weights"].reshape(-1, bins)
-        )
-        pos = {"lo": lo, "binw": binw, "slope": slope_tab, "cdf": cdf_tab}
     # east, north, west, south CDFs at node x: at_mid + slope * x
     at_mid, slope = _neighbor_lines(kind, pos, nbr, mid, half)
     if kind == "epanechnikov":
@@ -703,12 +684,12 @@ def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
         density = np.take(1.0 / (hi[_POS_C] - lo[_POS_C]), row) * half
     else:
         # the center's bins only, as every live midpoint is on its support
-        j = np.floor((mid - np.take(lo[_POS_C], row)) / np.take(binw, row))
+        j = np.floor((mid - np.take(lo[_POS_C], row)) / np.take(table[1], row))
         np.clip(j, 0, bins - 1, out=j)
         at = row * (bins + 2) + 1
         at += j.astype(np.intp)
-        density = np.take(slope_tab, at) * half
-    del mid, nbr, pos, lo, hi
+        density = np.take(table[2], at) * half
+    del mid, nbr, pos, lo, hi, table
 
     work = np.empty((16, live.size))
     g = work[0]
@@ -798,11 +779,11 @@ def _tiles(npix: int, n: int):
 def _sampler(kind: str, p: dict[str, np.ndarray]):
     """Uniform planes, sampling kernel and parameters of a batch of pixels.
 
-    Parameters are (pixels, 1) columns or (pixels, bins) tables, so a
-    tile slices them by rows; a histogram's are the tables
-    ``histogram_cdf_values`` takes.  ``_case_sampler`` builds the same
-    values from a distribution object, so a grid pixel and its
-    distribution draw bit for bit the same values from the same streams.
+    Parameters are (pixels, 1) columns or (pixels, bins + 2) tables, so a
+    tile slices them by rows; a histogram's are its ``histogram_table``.
+    ``_case_sampler`` builds the same values from a distribution object,
+    so a grid pixel and its distribution draw bit for bit the same
+    values from the same streams.
     """
     if kind == "gaussian":
         return 2, box_muller, (p["mean"][:, None], p["stddev"][:, None])
@@ -952,8 +933,9 @@ def _semi_chunk(samplers, px_idx, c, seed, channels) -> dict[str, np.ndarray]:
     """Semianalytical estimates of a pixel batch through the same tile loop.
 
     ``samplers`` are histogram ``_sampler`` triples, center first; the
-    neighbors' parameters are their CDF tables.  A pixel's c draws stay
-    in one tile, so each mean keeps its summation order.
+    neighbors' tables are what ``histogram_cdf_values`` reads.  A
+    pixel's c draws stay in one tile, so each mean keeps its summation
+    order.
     """
     _, kernel, center = samplers[0]
     nbrs = [params for _, _, params in samplers[1:]]
@@ -1007,10 +989,9 @@ def _chunk_task(payload) -> dict[str, np.ndarray]:
     if method == "closed_form":
         return _closed_chunk(kind, stacked, channels)
     pos = [{name: arr[i] for name, arr in stacked.items()} for i in range(5)]
-    if method == "combinatorial":
-        grids = [_histogram_grid(p["lo"], p["hi"], p["weights"]) for p in pos]
-        return _comb_chunk(grids, channels)
     samplers = [_sampler(kind, p) for p in pos]
+    if method == "combinatorial":
+        return _comb_chunk(samplers, channels)
     px_idx = (origin + centers).astype(np.uint64)
     return _semi_chunk(samplers, px_idx, estimator.c, estimator.seed, channels)
 

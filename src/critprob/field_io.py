@@ -283,8 +283,12 @@ def load_probability_field(path, format: str = "ucvf") -> ProbabilityField:
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if table.shape[0] == 0 or table.shape[1] != 6:
             raise ValueError(f"expected rows of 6 fields, read a {table.shape} table")
-        xs = table[:, 0].astype(int)
-        ys = table[:, 1].astype(int)
+        if not np.isfinite(table).all():
+            raise ValueError("CSV table holds non-finite values")
+        coords = table[:, :2]
+        if np.any(coords < 0.0) or np.any(coords != np.floor(coords)):
+            raise ValueError("CSV pixel coordinates must be non-negative integers")
+        xs, ys = coords.T.astype(int)
         height, width = ys.max() + 1, xs.max() + 1
         out = ProbabilityField.empty(height, width)
         out.p_min[ys, xs] = table[:, 2]

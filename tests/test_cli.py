@@ -268,6 +268,12 @@ class TestValidate:
             main(["validate", "--cases", "0"])
         assert exc.value.code == 2
 
+    def test_zero_bins_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--model", "histogram", "--bins", "0", "--cases", "1"])
+        assert exc.value.code == 2
+        assert "--bins" in capsys.readouterr().err
+
 
 class TestMixturePipeline:
     def test_histogram_heatmap_is_brightest_at_true_peaks(self, tmp_path):

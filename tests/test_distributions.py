@@ -15,7 +15,10 @@ from critprob.distributions import (
     epanechnikov,
     epanechnikov_from_samples,
     histogram,
+    histogram_edges,
     histogram_from_samples,
+    histogram_icdf,
+    histogram_table,
     uniform,
     uniform_from_samples,
 )
@@ -390,6 +393,35 @@ class TestSampling:
         ):
             draws = d.sample_u01(rng.uniform(0.0, 1.0, 10**5))
             assert ks_distance(draws, d) <= 0.01
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_histogram_icdf_lands_on_bin_edges(self, offset):
+        # At each nonzero-mass bin's table CDF value the inverse CDF gives
+        # that bin's left edge bit for bit, as the piecewise form's
+        # breakpoints do: every bin edge follows the one rule.
+        rng = np.random.default_rng(int(offset) % 1000 + 31)
+        checked = 0
+        for h in range(1, 10):
+            rows = 40
+            lo = offset + rng.uniform(-1.0, 1.0, rows)
+            hi = lo + rng.choice([1e-3, 0.3, 7.0], rows) * rng.uniform(0.5, 1.0, rows)
+            weights = rng.uniform(0.05, 1.0, (rows, h))
+            weights[rng.uniform(size=(rows, h)) < 0.3] = 0.0
+            weights[np.arange(rows), rng.integers(0, h, rows)] = 1.0
+            weights /= weights.sum(axis=1, keepdims=True)
+            table = histogram_table(lo, hi, weights)
+            t_lo, binw, mass, cdf = table
+            edges = histogram_edges(t_lo, binw, h)
+            # the CDF at every bin's lower edge, one bin per column
+            u = cdf[:, 1:-1].copy()
+            x = histogram_icdf(*table, u, np.empty_like(u))
+            filled = mass[:, 1:-1] > 0.0
+            assert np.array_equal(x[filled], edges[:, :-1][filled])
+            checked += np.count_nonzero(filled)
+            for r in range(0, rows, 7):
+                d = histogram(lo[r], hi[r], weights[r])
+                assert np.array_equal(d.pdf_poly.breakpoints, edges[r])
+        assert checked > 1000
 
     def test_one_uniform_plane_per_draw(self):
         assert uniform(0.0, 1.0).u01_planes == 1

@@ -16,6 +16,8 @@ from critprob.distributions import (
     epanechnikov,
     histogram,
     histogram_cdf_values,
+    histogram_edges,
+    histogram_icdf,
     histogram_table,
     uniform,
 )
@@ -875,12 +877,49 @@ class TestClassifyField:
                 assert arr[r, c] == semianalytical_prob(case, pattern, 700, seed=2, pixel=px)
 
     def test_combinatorial_matches_per_case_calls(self):
+        # grid and per-case read the same histogram tables, so they agree
+        # bit for bit
         field = small_field("histogram", seed=6, shape=(5, 5), bins=3)
         prob = classify_field(field, EstimatorSpec(method="combinatorial"))
         for r, c in ((1, 1), (2, 3), (3, 2)):
             trip = combinatorial_triple(case_at(field, r, c))
-            assert prob.p_min[r, c] == pytest.approx(trip.p_min, abs=1e-12)
-            assert prob.p_saddle[r, c] == pytest.approx(trip.p_saddle, abs=1e-12)
+            assert prob.p_min[r, c] == trip.p_min
+            assert prob.p_max[r, c] == trip.p_max
+            assert prob.p_saddle[r, c] == trip.p_saddle
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_histogram_kinks_are_the_sampler_edges(self, monkeypatch, offset):
+        # The closed form integrates between exactly the bin edges on which
+        # the inverse CDF of the same table lands.
+        seen = []
+
+        def spy(lo, hi, table=None):
+            kinks = closed_kinks(lo, hi, table)
+            seen.append((table, kinks.copy()))  # clipped in place afterwards
+            return kinks
+
+        closed_kinks = engine._closed_kinks
+        monkeypatch.setattr(engine, "_closed_kinks", spy)
+        rng = np.random.default_rng(int(offset) % 1000 + 41)
+        for bins in range(1, 10):
+            lo = offset + rng.uniform(-0.5, 0.5, (3, 3))
+            hi = lo + rng.uniform(0.2, 1.5, (3, 3))
+            weights = rng.uniform(0.05, 1.0, (3, 3, bins))
+            weights[rng.uniform(size=(3, 3, bins)) < 0.3] = 0.0
+            weights[..., rng.integers(0, bins)] = 1.0
+            field = UncertainField(
+                ModelSpec("histogram", bins=bins), {"lo": lo, "hi": hi, "weights": weights}
+            )
+            classify_field(field)
+            table, kinks = seen.pop()
+            t_lo, binw, mass, cdf = table
+            edges = histogram_edges(t_lo, binw, bins)
+            # one stencil: its five positions' edges, center first
+            assert np.array_equal(kinks, edges.reshape(1, -1))
+            u = cdf[:, 1:-1].copy()
+            x = histogram_icdf(*table, u, np.empty_like(u))
+            filled = mass[:, 1:-1] > 0.0
+            assert np.array_equal(x[filled], edges[:, :-1][filled])
 
     def test_constant_field_with_iid_noise(self):
         rng = np.random.default_rng(4)

@@ -332,6 +332,36 @@ class TestProbabilityRoundtrip:
         with pytest.raises(ValueError):
             load_probability_field(path, format="csv")
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,2,nan,0.5,0,1", "non-finite"),
+            ("1,2,0.25,inf,0,1", "non-finite"),
+            ("inf,2,0.25,0.5,0,1", "non-finite"),
+            ("-1,2,0.25,0.5,0,1", "non-negative integers"),
+            ("1,-1,0.25,0.5,0,1", "non-negative integers"),
+            ("1.7,2,0.25,0.5,0,1", "non-negative integers"),
+            ("1,0.5,0.25,0.5,0,1", "non-negative integers"),
+        ],
+    )
+    def test_csv_bad_row_raises(self, tmp_path, row, message):
+        # the UCVF reader refuses non-finite values; a coordinate of -1
+        # would wrap into the last column and 1.7 would land in column 1
+        path = tmp_path / "prob.csv"
+        save_probability_field(sample_prob(), path, format="csv")
+        lines = path.read_text().split("\n")
+        lines[4] = row
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=message):
+            load_probability_field(path, format="csv")
+
+    def test_csv_integral_float_coordinates_load(self, tmp_path):
+        path = tmp_path / "prob.csv"
+        path.write_text("x,y,p_min,p_max,p_saddle,valid\n1.0,0,0.25,0.5,0,1\n0,0e0,0,0,0,0\n")
+        loaded = load_probability_field(path, format="csv")
+        assert loaded.p_min.shape == (1, 2)
+        assert loaded.p_max[0, 1] == 0.5 and loaded.valid[0, 1] and not loaded.valid[0, 0]
+
     def test_ucvf_payload_is_float32_of_channels(self, tmp_path):
         prob = sample_prob(seed=5)
         path = tmp_path / "prob.ucvf"
