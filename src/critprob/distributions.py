@@ -2,14 +2,15 @@
 
 Three bounded families share one representation: uniform over a range,
 Epanechnikov (quadratic bump) over a range, and histograms with
-equal-width bins.  Each exposes its density and distribution function
-as piecewise polynomials, which is what the closed-form critical-point
-integrals consume.  Degenerate fits (all samples equal) are widened to
-a tiny positive width so that ties between point masses resolve
-continuously instead of producing zero-width supports.
+equal-width bins.  Each evaluates its density and distribution function
+pointwise, on the closed support with tails 0 and 1; the closed-form
+critical-point integrals evaluate the same formulas on their own nodes
+(``engine._closed_chunk``).  Degenerate fits (all samples equal) are
+widened to a tiny positive width so that ties between point masses
+resolve continuously instead of producing zero-width supports.
 
 ``GaussianSampler`` is an unbounded model used only for Monte Carlo
-comparisons; it has no piecewise form.
+comparisons; it has no closed form.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .piecewise import PiecewisePolynomial
 
 EPSILON_FLOOR = 1e-12
 EPSILON_RANGE_FACTOR = 1e-9
@@ -229,14 +228,9 @@ def icdf_sampler(kind: str, lo, hi, weights):
 # -- distribution objects ------------------------------------------------
 
 class FiniteDistribution:
-    """A bounded per-pixel uncertainty model.
+    """A bounded per-pixel uncertainty model."""
 
-    The density and distribution function are built lazily: sampling and
-    histogram arithmetic never touch them, only the closed-form
-    integrals do.
-    """
-
-    __slots__ = ("kind", "support", "bin_weights", "_pdf", "_cdf", "_survival")
+    __slots__ = ("kind", "support", "bin_weights")
 
     u01_planes = 1  # independent uniform planes consumed per draw
 
@@ -258,65 +252,51 @@ class FiniteDistribution:
         self.kind = kind
         self.support = support
         self.bin_weights = bin_weights
-        self._pdf = None
-        self._cdf = None
-        self._survival = None
 
     def __repr__(self) -> str:
         extra = f", bins={self.bin_weights.size}" if self.kind == "histogram" else ""
         return f"FiniteDistribution({self.kind}, [{self.support.lo}, {self.support.hi}]{extra})"
 
-    # -- piecewise forms -------------------------------------------------
-
-    @property
-    def pdf_poly(self) -> PiecewisePolynomial:
-        if self._pdf is None:
-            lo, hi = self.support.lo, self.support.hi
-            if self.kind == "uniform":
-                self._pdf = PiecewisePolynomial([lo, hi], [[1.0 / (hi - lo)]])
-            elif self.kind == "epanechnikov":
-                w = 0.5 * (hi - lo)
-                self._pdf = PiecewisePolynomial(
-                    [lo, hi], [[0.75 / w, 0.0, -0.75 / w**3]]
-                )
-            else:
-                h = self.bin_weights.size
-                binw = (hi - lo) / h
-                self._pdf = PiecewisePolynomial(
-                    histogram_edges(lo, binw, h), [[wk / binw] for wk in self.bin_weights]
-                )
-        return self._pdf
-
-    @property
-    def cdf_poly(self) -> PiecewisePolynomial:
-        if self._cdf is None:
-            self._cdf = self.pdf_poly.antiderivative()
-        return self._cdf
-
-    @property
-    def survival_poly(self) -> PiecewisePolynomial:
-        if self._survival is None:
-            cdf = self.cdf_poly
-            pieces = []
-            for coeffs in cdf.pieces:
-                neg = -coeffs
-                neg[0] += 1.0
-                pieces.append(neg)
-            self._survival = PiecewisePolynomial(
-                cdf.breakpoints,
-                pieces,
-                below_value=1.0,
-                above_value=1.0 - cdf.above_value,
-            )
-        return self._survival
-
     # -- pointwise evaluation ---------------------------------------------
 
     def pdf(self, x):
-        return self.pdf_poly.eval(x)
+        """Density at ``x``, on the closed support and 0 outside it.
+
+        A histogram bin holds its lower edge, and the last bin the top.
+        """
+        arr = np.asarray(x, dtype=float)
+        lo, hi = self.support.lo, self.support.hi
+        if self.kind == "uniform":
+            out = np.full(arr.shape, 1.0 / (hi - lo))
+        elif self.kind == "epanechnikov":
+            mean, halfwidth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            u = (arr - mean) / halfwidth
+            out = 0.75 / halfwidth * (1.0 - u * u)
+        else:
+            h = self.bin_weights.size
+            binw = (hi - lo) / h
+            j = np.searchsorted(histogram_edges(lo, binw, h), arr, side="right") - 1
+            out = self.bin_weights[np.clip(j, 0, h - 1)] / binw
+        out = np.where((arr >= lo) & (arr <= hi), out, 0.0)
+        return float(out) if arr.ndim == 0 else out
 
     def cdf(self, x):
-        return self.cdf_poly.eval(x)
+        """Distribution function at ``x``: 0 below the support, 1 above it."""
+        arr = np.asarray(x, dtype=float)
+        lo, hi = self.support.lo, self.support.hi
+        if self.kind == "uniform":
+            out = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
+        elif self.kind == "epanechnikov":
+            mean, halfwidth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            u = np.clip((arr - mean) / halfwidth, -1.0, 1.0)
+            out = (0.5 + 0.75 * u) - 0.25 * u**3
+        else:
+            table = histogram_table(np.array([lo]), np.array([hi]), self.bin_weights[None, :])
+            out = np.empty((1, arr.size))
+            histogram_cdf_values(*table, arr.reshape(1, -1), out)
+            out = out.reshape(arr.shape)
+        out = np.where(arr < lo, 0.0, np.where(arr > hi, 1.0, out))
+        return float(out) if arr.ndim == 0 else out
 
     def survival(self, x):
         return 1.0 - self.cdf(x)

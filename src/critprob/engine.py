@@ -14,13 +14,13 @@ east/west neighbors and above both north/south neighbors, or the
 reverse; each of those is the same kind of product integral with a mix
 of survival and distribution factors.
 
-Grid classification evaluates the same integrals for every interior
-pixel at once on flat parameter arrays, with one node set per pixel for
-all three channels.  Each stencil is shifted so the center's support
+One kernel, ``_closed_chunk``, evaluates these integrals for a batch of
+stencils at once on flat parameter arrays, with one node set per pixel
+for all three channels.  Each stencil is shifted so the center's support
 is centered on zero; every kink (support end or ``histogram_edges`` bin
 edge of the five positions) is clipped to the center's support and sorted once,
-and Gauss-Legendre nodes on each interval between kinks (8 for the
-Epanechnikov model, 3 otherwise) integrate every channel exactly.  A
+and Gauss-Legendre nodes on each interval between kinks (8 when any
+position is Epanechnikov, 3 otherwise) integrate every channel exactly.  A
 kink outside the center's support is clipped onto one of its ends, so
 it leaves an interval of zero width, whose node weights are zero and
 whose terms are exactly +0.0; on the Ackley ensembles of perfbench's
@@ -67,8 +67,16 @@ set by the tile, not by the chunk or the draw count, and stays in
 cache.  Draws are keyed by pixel and counts are integers, so tiles
 change no result.
 
-The single-case estimators run the same kernels on one stencil.  In
-``mc_all_patterns`` the case's distributions take consecutive planes
+The single-case estimators run the same kernels on one stencil.  A
+case's closed form is a one-pixel batch of ``_closed_chunk`` whose
+positions are grouped by kind and bin count, so mixed kinds and the
+2-neighbor form share the grid's kernel; each channel is divided by the
+center density's quadrature mass, the sum of the same node weights, so
+a certain pattern is exactly 1, and clipped into [0, 1].  Grid pixels
+are not divided, so the two agree to rounding, not to the bit.  The
+maximum of a single case is still the minimum of the negated case, so
+``local_max_prob`` and ``local_min_prob`` mirror each other bit for bit.
+In ``mc_all_patterns`` the case's distributions take consecutive planes
 of the streams of the case's ``pixel`` key, center first, and fill the
 center and the four edge cells of a 3 x 3 block, in blocks of
 ``TILE_DRAWS`` draws; the corners are never drawn or read, and a
@@ -104,14 +112,16 @@ from .distributions import (
     icdf_sampler,
 )
 from .fields import CHANNELS, ProbabilityField, UncertainField
-from .piecewise import gauss_legendre_nodes, refine_and_multiply
 
 PATTERNS = ("min", "max", "saddle")
 ESTIMATOR_METHODS = ("closed_form", "monte_carlo", "semianalytical", "combinatorial")
 COMBINATORIAL_MAX_BINS = 8
 
-# position indices within a stencil: center, east, north, west, south
-_POS_C, _POS_E, _POS_N, _POS_W, _POS_S = range(5)
+# Gauss-Legendre nodes and weights on [-1, 1]: n nodes integrate
+# polynomials up to degree 2n - 1 exactly.  A product of a center density
+# and four neighbor CDFs has degree 4 when every factor is uniform or
+# histogram, and at most 14 with Epanechnikov ones.
+_GAUSS_LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (3, 8)}
 
 
 @dataclass(frozen=True)
@@ -191,16 +201,52 @@ def _require_histograms(case: NeighborhoodCase) -> None:
 # closed form, single neighborhood
 # ---------------------------------------------------------------------------
 
+def _case_groups(case: NeighborhoodCase) -> list:
+    """The ``_closed_chunk`` groups of a case as a one-pixel stencil.
+
+    Positions are grouped by kind and bin count, center first.  An
+    Epanechnikov distribution enters as the midpoint and half-width of
+    its support, the values its sampler draws from.
+    """
+    dists = (case.center, *case.neighbors)
+    found = {}
+    for i, d in enumerate(dists):
+        bins = 0 if d.bin_weights is None else d.bin_weights.size
+        found.setdefault((d.kind, bins), []).append(i)
+    groups = []
+    for (kind, _), positions in found.items():
+        lo = np.array([[dists[i].support.lo] for i in positions])
+        hi = np.array([[dists[i].support.hi] for i in positions])
+        if kind == "epanechnikov":
+            params = {"mean": 0.5 * (lo + hi), "halfwidth": 0.5 * (hi - lo)}
+        else:
+            params = {"lo": lo, "hi": hi}
+        if kind == "histogram":
+            params["weights"] = np.array([[dists[i].bin_weights] for i in positions])
+        groups.append((kind, positions, params))
+    return groups
+
+
+def _closed_case(case: NeighborhoodCase, channels) -> dict[str, float]:
+    """Channels of one case, each divided by the center's quadrature mass.
+
+    The quadrature of the center density alone, on the same nodes and in
+    the same order, rounds away from 1 by an ulp or so; a certain
+    pattern's channel is that same sum, so after the division it is
+    exactly 1.  The ratio is then clipped into [0, 1], where the exact
+    value lies, so the clip moves it only toward that value: an
+    Epanechnikov CDF, (0.5 + 0.75 u) - 0.25 u^3, cancels near u = -1 and
+    can round to a few 1e-17 below 0 next to a touching support.
+    """
+    _require_bounded(case)
+    out = _closed_chunk(_case_groups(case), (*channels, "mass"))
+    mass = out.pop("mass")[0]
+    return {ch: float(np.clip(v[0] / mass, 0.0, 1.0)) for ch, v in out.items()}
+
+
 def local_min_prob(case: NeighborhoodCase) -> float:
     """Probability that the center draws strictly below every neighbor."""
-    _require_bounded(case)
-    center = case.center
-    lo = center.support.lo
-    hi = min(d.support.hi for d in (center, *case.neighbors))
-    if hi <= lo:
-        return 0.0
-    factors = [center.pdf_poly] + [d.survival_poly for d in case.neighbors]
-    return refine_and_multiply(factors, lo, hi).integrate(lo, hi)
+    return _closed_case(case, ("min",))["min"]
 
 
 def local_max_prob(case: NeighborhoodCase) -> float:
@@ -209,40 +255,18 @@ def local_max_prob(case: NeighborhoodCase) -> float:
     return local_min_prob(case.negate())
 
 
-def _half_saddle(case: NeighborhoodCase) -> float:
-    # Center below the east/west neighbors and above the north/south
-    # ones (below the first, above the second in the 2-neighbor case).
-    nbrs = case.neighbors
-    if len(nbrs) == 2:
-        above_me, below_me = (nbrs[0],), (nbrs[1],)
-    else:
-        above_me, below_me = (nbrs[0], nbrs[2]), (nbrs[1], nbrs[3])
-    center = case.center
-    lo = max(center.support.lo, *(d.support.lo for d in below_me))
-    hi = min(center.support.hi, *(d.support.hi for d in above_me))
-    if hi <= lo:
-        return 0.0
-    factors = (
-        [center.pdf_poly]
-        + [d.survival_poly for d in above_me]
-        + [d.cdf_poly for d in below_me]
-    )
-    return refine_and_multiply(factors, lo, hi).integrate(lo, hi)
-
-
 def saddle_prob(case: NeighborhoodCase) -> float:
-    """Probability of a saddle: one alternating term plus its mirror.
+    """Probability of a saddle: one alternating pattern or its mirror.
 
-    The mirrored term is evaluated on the fully negated case, so
-    negating every distribution swaps the two terms and leaves the sum
-    unchanged.
+    Both terms are taken on the same nodes, so negating every
+    distribution swaps them and leaves the sum unchanged to rounding.
     """
-    _require_bounded(case)
-    return _half_saddle(case) + _half_saddle(case.negate())
+    return _closed_case(case, ("saddle",))["saddle"]
 
 
 def closed_form_triple(case: NeighborhoodCase) -> ProbabilityTriple:
-    return ProbabilityTriple(local_min_prob(case), local_max_prob(case), saddle_prob(case))
+    found = _closed_case(case, ("min", "saddle"))
+    return ProbabilityTriple(found["min"], local_max_prob(case), found["saddle"])
 
 
 def closed_pattern_prob(case: NeighborhoodCase, pattern: str) -> float:
@@ -510,34 +534,30 @@ def _support_bounds(kind: str, p: dict[str, np.ndarray]):
     return p["lo"], p["hi"]
 
 
-def _centered(kind: str, pos):
-    """Stencil parameters shifted so the center's support is centered on 0.
+def _centered(kind: str, p, origin):
+    """Parameters of one kind shifted by ``origin``, the center's midpoint.
 
     Probabilities are shift-invariant.  In the shifted frame, node
     coordinates are on the scale of the support widths, so narrow
     supports far from the origin keep their relative precision.
     """
-    if kind == "epanechnikov":
-        origin = pos["mean"][_POS_C]
-        keys = ("mean",)
-    else:
-        origin = 0.5 * (pos["lo"][_POS_C] + pos["hi"][_POS_C])
-        keys = ("lo", "hi")
-    return {**pos, **{k: pos[k] - origin for k in keys}}
+    keys = ("mean",) if kind == "epanechnikov" else ("lo", "hi")
+    return {**p, **{k: p[k] - origin for k in keys}}
 
 
 def _closed_kinks(lo, hi, table=None) -> np.ndarray:
     """Every kink of each stencil, (pixels, kinks), position by position.
 
-    ``lo`` and ``hi`` are the (5, pixels) support bounds.  A support has
-    two kinks, its ends; a histogram has the ``histogram_edges`` of its
-    row of ``table``, the ``histogram_table`` of the 5 * pixels supports.
+    ``lo`` and ``hi`` are the (positions, pixels) support bounds.  A
+    support has two kinks, its ends; a histogram has the
+    ``histogram_edges`` of its row of ``table``, the ``histogram_table``
+    of the positions * pixels supports.
     """
     if table is None:
         kinks = np.stack([lo.T, hi.T], axis=2)
     else:
-        # (pixels, 5, 1) columns, so the edges come out pixel by pixel
-        t_lo, binw = (col.reshape(5, -1).T[:, :, None] for col in table[:2])
+        # (pixels, positions, 1) columns, so the edges come out pixel by pixel
+        t_lo, binw = (col.reshape(lo.shape[0], -1).T[:, :, None] for col in table[:2])
         kinks = histogram_edges(t_lo, binw, table[2].shape[1] - 2)
     return kinks.reshape(kinks.shape[0], -1)
 
@@ -545,13 +565,13 @@ def _closed_kinks(lo, hi, table=None) -> np.ndarray:
 def _neighbor_lines(kind: str, p, nbr, mid, half):
     """Neighbor CDFs on each live interval, as affine functions of the node.
 
-    ``p`` holds the (5, pixels) stencil parameters, center first, or
-    for histograms the ``histogram_table`` of the same 5 * pixels rows
-    with each mass divided by the bin width, the CDF's slope.  ``nbr``
-    is the (4, L) rows of the east, north, west and south neighbors of
-    each of the L intervals, whose midpoints and half-widths are ``mid``
-    and ``half``.  Returns the (4, L) value at each midpoint and the
-    change per unit node coordinate; the value at node ``x`` is
+    ``p`` holds the (positions, pixels) parameters of one group of
+    stencil positions, or for histograms the ``histogram_table`` of the
+    same positions * pixels rows with each mass divided by the bin
+    width, the CDF's slope.  ``nbr`` is the (k, L) rows of the group's k
+    neighbors of each of the L intervals, whose midpoints and
+    half-widths are ``mid`` and ``half``.  Returns the (k, L) value at
+    each midpoint and the change per unit node coordinate; the value at node ``x`` is
     ``at_mid + slope * x``, and for the Epanechnikov model it is the
     scaled coordinate ``u`` that the CDF cubic takes.  No interval
     straddles one of the neighbor's kinks, so on each interval its CDF
@@ -621,17 +641,23 @@ def closed_chunk_pixels(model) -> int:
     return max(1, CLOSED_PLANE // (kinks - 1))
 
 
-def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
+def _closed_chunk(groups, channels) -> dict[str, np.ndarray]:
     """All requested channels of a pixel chunk from one shared node set.
 
-    ``pos`` maps each parameter name to its (5, pixels) values, or
-    (5, pixels, bins) histogram weights, at the center, east, north,
-    west and south stencil positions.  Every kink is clipped to the
-    center's support and sorted once; the center density and the four
+    ``groups`` lists the stencil positions of each kind and bin count as
+    (kind, positions, params): the ascending positions (0 the center,
+    then east, north, west and south, or east and north alone) and a map
+    of each parameter name to its (len(positions), pixels) values, or
+    (len(positions), pixels, bins) histogram weights.  A grid chunk is
+    one group of all five positions; a single case has a group for each
+    kind and bin count among its distributions.  Every kink is clipped
+    to the center's support and sorted once; the center density and the
     neighbor CDFs are evaluated on the resulting Gauss-Legendre nodes,
     and each channel is a different product of those same values.  This
     is exact: every factor is a polynomial between consecutive kinks,
     and each channel's integrand vanishes outside its own range.
+    ``channels`` may also name ``"mass"``, the sum of the node weights
+    alone, the center density's quadrature mass.
 
     A kink outside the center's support is clipped onto one of its ends
     and leaves an interval of zero width, whose node weights and so
@@ -639,28 +665,39 @@ def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
     nonzero width, are evaluated: their flat indices and pixel rows are
     taken once, and per-interval quantities (each neighbor's midpoint
     value and slope, the center density times the half-width) are found
-    for them alone, the four neighbors stacked on a leading axis.  The
-    nodes are then visited one at a time: each factor of a node is
-    written in place into one (16, L) workspace, and the node's min,
-    max and saddle terms are added to one row each.  Each channel's sums
-    are scattered back into a zeroed (pixels, intervals) plane, so every
-    dead interval holds the +0.0 it would have added, and each plane row
-    is reduced as one contiguous row.  Nodes are added in order and a
-    pixel's intervals reduced in the same order whatever the chunk, so a
-    pixel's rounding never depends on the chunk size.
+    for them alone, the neighbors stacked on a leading axis group by
+    group.  The nodes are then visited one at a time: each factor of a
+    node is written in place into one (16, L) workspace, and the node's
+    min, max and saddle terms are added to one row each; a 17th row adds
+    up the node weights when the mass is asked for.  Each channel's
+    sums are scattered back into a zeroed (pixels, intervals) plane, so
+    every dead interval holds the +0.0 it would have added, and each
+    plane row is reduced as one contiguous row.  Nodes are added in
+    order and a pixel's intervals reduced in the same order whatever the
+    chunk, so a pixel's rounding never depends on the chunk size.
     """
-    pos = _centered(kind, pos)
-    lo, hi = _support_bounds(kind, pos)
-    table = None
-    if kind == "histogram":
-        bins = pos["weights"].shape[-1]
-        pos = table = histogram_table(lo.ravel(), hi.ravel(), pos["weights"].reshape(-1, bins))
-        # each mass becomes its slope mass / bin width, in place; the pads
-        # stay 0, on a support of zero width too
-        np.divide(table[2][:, 1:-1], table[1], out=table[2][:, 1:-1])
-    pts = _closed_kinks(lo, hi, table)
-    np.maximum(pts, lo[_POS_C, :, None], out=pts)
-    np.minimum(pts, hi[_POS_C, :, None], out=pts)
+    c_kind, _, c_pos = groups[0]
+    if c_kind == "epanechnikov":
+        origin = c_pos["mean"][0]
+    else:
+        origin = 0.5 * (c_pos["lo"][0] + c_pos["hi"][0])
+    found, kinks = [], []
+    for kind, positions, p in groups:
+        p = _centered(kind, p, origin)
+        lo, hi = _support_bounds(kind, p)
+        table = None
+        if kind == "histogram":
+            bins = p["weights"].shape[-1]
+            p = table = histogram_table(lo.ravel(), hi.ravel(), p["weights"].reshape(-1, bins))
+            # each mass becomes its slope mass / bin width, in place; the
+            # pads stay 0, on a support of zero width too
+            np.divide(table[2][:, 1:-1], table[1], out=table[2][:, 1:-1])
+        found.append((kind, positions, p, lo, hi))
+        kinks.append(_closed_kinks(lo, hi, table))
+    pts = kinks[0] if len(kinks) == 1 else np.concatenate(kinks, axis=1)
+    _, _, c_pos, c_lo, c_hi = found[0]
+    np.maximum(pts, c_lo[0, :, None], out=pts)
+    np.minimum(pts, c_hi[0, :, None], out=pts)
     pts.sort(axis=1)
     half = 0.5 * (pts[:, 1:] - pts[:, :-1])
     mid = 0.5 * (pts[:, 1:] + pts[:, :-1])
@@ -670,39 +707,63 @@ def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
     live = np.flatnonzero(half)
     row = live // shape[1]
     mid, half = np.take(mid, live), np.take(half, live)
-    del pts
-    # rows of the east, north, west, south neighbors among the 5 * pixels
-    nbr = row + npix * np.arange(1, 5)[:, None]
-    xi, wts = gauss_legendre_nodes(8 if kind == "epanechnikov" else 3)
-    # east, north, west, south CDFs at node x: at_mid + slope * x
-    at_mid, slope = _neighbor_lines(kind, pos, nbr, mid, half)
-    if kind == "epanechnikov":
-        hw = np.take(pos["halfwidth"][_POS_C], row)
-        c_mid, c_slope = (mid - np.take(pos["mean"][_POS_C], row)) / hw, half / hw
+    del pts, kinks
+    # neighbor CDFs at node x, at_mid + slope * x, group by group; order
+    # holds the stencil position of each row
+    lines, order, cubic = [], [], slice(0)
+    for kind, positions, p, _, _ in found:
+        idx = [i for i, q in enumerate(positions) if q != 0]
+        if not idx:
+            continue
+        if kind == "epanechnikov":
+            cubic = slice(len(order), len(order) + len(idx))
+        # rows of the group's neighbors among its positions * pixels
+        nbr = row + npix * np.array(idx)[:, None]
+        lines.append(_neighbor_lines(kind, p, nbr, mid, half))
+        order += [positions[i] for i in idx]
+    if len(lines) == 1:
+        at_mid, slope = lines[0]
+    else:
+        at_mid, slope = (np.concatenate(part) for part in zip(*lines))
+    epan = any(kind == "epanechnikov" for kind, _, _, _, _ in found)
+    xi, wts = _GAUSS_LEGENDRE[8 if epan else 3]
+    if c_kind == "epanechnikov":
+        hw = np.take(c_pos["halfwidth"][0], row)
+        c_mid, c_slope = (mid - np.take(c_pos["mean"][0], row)) / hw, half / hw
         c_scale = 0.75 / hw
-    elif kind == "uniform":
-        density = np.take(1.0 / (hi[_POS_C] - lo[_POS_C]), row) * half
+    elif c_kind == "uniform":
+        density = np.take(1.0 / (c_hi[0] - c_lo[0]), row) * half
     else:
         # the center's bins only, as every live midpoint is on its support
-        j = np.floor((mid - np.take(lo[_POS_C], row)) / np.take(table[1], row))
+        bins = c_pos[2].shape[1] - 2
+        j = np.floor((mid - np.take(c_lo[0], row)) / np.take(c_pos[1], row))
         np.clip(j, 0, bins - 1, out=j)
         at = row * (bins + 2) + 1
         at += j.astype(np.intp)
-        density = np.take(table[2], at) * half
-    del mid, nbr, pos, lo, hi, table
+        density = np.take(c_pos[2], at) * half
+    del mid, nbr, found, lines, c_pos, c_lo, c_hi
 
-    work = np.empty((16, live.size))
+    mass = "mass" in channels
+    work = np.empty((16 + mass, live.size))
     g = work[0]
-    # survival and CDF of the four neighbors
-    sf_cdf = work[1:9].reshape(2, 4, live.size)
+    # survival and CDF of the neighbors
+    sf_cdf = work[1 : 1 + 2 * len(order)].reshape(2, len(order), live.size)
     sf, cdf = sf_cdf
-    # [below, above] the east/west pair and the north/south pair
-    ew, ns = work[9:11], work[11:13]
+    terms = work[5:8]  # scratch once ew and ns are found
     acc = work[13:16]  # min, max, saddle
-    terms, pair = cdf[:3], sf[:2]  # scratch once ew and ns are found
+    u, s = cdf[cubic], sf[cubic]  # Epanechnikov neighbors
+    east, north = sf_cdf[:, order.index(1)], sf_cdf[:, order.index(2)]
+    # [below, above] the east/west pair and the north/south pair
+    if len(order) == 4:
+        west, south = sf_cdf[:, order.index(3)], sf_cdf[:, order.index(4)]
+        ew, ns = work[9:11], work[11:13]
+        pair = sf[:2]
+    else:
+        ew, ns = east, north
+        pair = work[9:11]
     for k in range(xi.size):
         # quadrature weight of the node, center density included
-        if kind == "epanechnikov":
+        if c_kind == "epanechnikov":
             np.multiply(c_slope, xi[k], out=g)
             np.add(c_mid, g, out=g)
             np.multiply(g, g, out=g)
@@ -714,28 +775,33 @@ def _closed_chunk(kind: str, pos, channels) -> dict[str, np.ndarray]:
             np.multiply(density, wts[k], out=g)
         np.multiply(slope, xi[k], out=cdf)
         np.add(at_mid, cdf, out=cdf)
-        if kind == "epanechnikov":
+        if cubic.stop:
             # CDF (0.5 + 0.75 u) - 0.25 u^3, with sf as scratch
-            np.multiply(cdf, cdf, out=sf)
-            np.multiply(sf, cdf, out=sf)
-            np.multiply(0.25, sf, out=sf)
-            np.multiply(0.75, cdf, out=cdf)
-            np.add(0.5, cdf, out=cdf)
-            np.subtract(cdf, sf, out=cdf)
+            np.multiply(u, u, out=s)
+            np.multiply(s, u, out=s)
+            np.multiply(0.25, s, out=s)
+            np.multiply(0.75, u, out=u)
+            np.add(0.5, u, out=u)
+            np.subtract(u, s, out=u)
         np.subtract(1.0, cdf, out=sf)
-        np.multiply(sf_cdf[:, 0], sf_cdf[:, 2], out=ew)
-        np.multiply(sf_cdf[:, 1], sf_cdf[:, 3], out=ns)
-        # min: below all four; max: above all four; saddle: below one
+        if len(order) == 4:
+            np.multiply(east, west, out=ew)
+            np.multiply(north, south, out=ns)
+        # min: below all neighbors; max: above all; saddle: below one
         # pair and above the other, either way round
         np.multiply(ew, ns, out=terms[:2])
         np.multiply(ew, ns[::-1], out=pair)
         np.add(pair[0], pair[1], out=terms[2])
         if k == 0:
             np.multiply(g, terms, out=acc)
+            if mass:
+                np.copyto(work[16], g)
         else:
             np.multiply(g, terms, out=terms)
             np.add(acc, terms, out=acc)
-    sums = dict(zip(CHANNELS, acc))
+            if mass:
+                np.add(work[16], g, out=work[16])
+    sums = dict(zip((*CHANNELS, "mass"), work[13:]))
     # the dead intervals stay +0.0 from one channel to the next
     plane = np.zeros(shape)
     out = {}
@@ -987,7 +1053,7 @@ def _chunk_task(payload) -> dict[str, np.ndarray]:
     stencils = centers + np.array([0, 1, -width, -1, width])[:, None]
     stacked = {name: arr[stencils] for name, arr in params.items()}
     if method == "closed_form":
-        return _closed_chunk(kind, stacked, channels)
+        return _closed_chunk([(kind, range(5), stacked)], channels)
     pos = [{name: arr[i] for name, arr in stacked.items()} for i in range(5)]
     samplers = [_sampler(kind, p) for p in pos]
     if method == "combinatorial":

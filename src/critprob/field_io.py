@@ -290,6 +290,13 @@ def load_probability_field(path, format: str = "ucvf") -> ProbabilityField:
             raise ValueError("CSV pixel coordinates must be non-negative integers")
         xs, ys = coords.T.astype(int)
         height, width = ys.max() + 1, xs.max() + 1
+        # the writer writes every pixel once; a dropped row would load as
+        # p = 0 and invalid, and a repeated one would overwrite the first
+        if table.shape[0] != height * width or np.any(np.bincount(ys * width + xs) != 1):
+            raise ValueError(
+                f"CSV table must hold each pixel of its {width} x {height} grid once, "
+                f"read {table.shape[0]} rows"
+            )
         out = ProbabilityField.empty(height, width)
         out.p_min[ys, xs] = table[:, 2]
         out.p_max[ys, xs] = table[:, 3]

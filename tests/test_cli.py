@@ -197,8 +197,8 @@ class TestFromScalar:
 
         kernel = engine._closed_chunk
 
-        def nan_min(kind, pos, channels):
-            out = kernel(kind, pos, channels)
+        def nan_min(groups, channels):
+            out = kernel(groups, channels)
             out["min"][0] = np.nan
             return out
 

@@ -48,6 +48,24 @@ def ks_distance(draws: np.ndarray, dist: FiniteDistribution) -> float:
     return float(max(upper, lower))
 
 
+def pdf_integral(dist: FiniteDistribution, power: int = 0, about: float = 0.0) -> float:
+    """Integral of (x - about)**power * pdf(x) over the support.
+
+    8-node Gauss-Legendre on each ``histogram_edges`` piece of the
+    support (one piece unless a histogram), exact for the density times
+    a polynomial of degree up to 13.
+    """
+    lo, hi = dist.support.lo, dist.support.hi
+    h = dist.bin_weights.size if dist.kind == "histogram" else 1
+    edges = histogram_edges(lo, (hi - lo) / h, h)
+    xi, w = np.polynomial.legendre.leggauss(8)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        x = 0.5 * (a + b) + 0.5 * (b - a) * xi
+        total += 0.5 * (b - a) * float(np.dot(w, dist.pdf(x) * (x - about) ** power))
+    return total
+
+
 def random_distributions(count: int, seed: int) -> list[FiniteDistribution]:
     rng = np.random.default_rng(seed)
     out: list[FiniteDistribution] = []
@@ -104,9 +122,7 @@ class TestConstructors:
         samples = rng.uniform(0.0, 1.0, 50)
         d = uniform_from_samples(samples)
         assert d.support.lo >= 0.0 and d.support.hi <= 1.0
-        assert d.pdf_poly.integrate(d.support.lo, d.support.hi) == pytest.approx(
-            1.0, abs=1e-10
-        )
+        assert pdf_integral(d) == pytest.approx(1.0, abs=1e-10)
 
     def test_empty_samples_error(self):
         for ctor in (
@@ -145,13 +161,8 @@ class TestConstructors:
             math.sqrt(5.0) * samples.std(ddof=1), rel=1e-12
         )
         # distribution variance w^2 / 5 equals the sample variance
-        var = d.pdf_poly  # integrate x^2 pdf around the mean
         m = 0.5 * (d.support.lo + d.support.hi)
-        xs_bp = [d.support.lo, d.support.hi]
-        from critprob.piecewise import PiecewisePolynomial, refine_and_multiply
-
-        sq = PiecewisePolynomial(xs_bp, [[0.0, 0.0, 1.0]])  # (x - m)^2 local
-        moment = refine_and_multiply([var, sq], *xs_bp).integrate(*xs_bp)
+        moment = pdf_integral(d, 2, m)
         assert moment == pytest.approx(samples.var(ddof=1), rel=1e-10)
 
     def test_epanechnikov_needs_two_samples(self):
@@ -250,12 +261,35 @@ class TestCdfSurvival:
         rng = np.random.default_rng(31)
         for d in random_distributions(1000, seed=8):
             lo, hi = d.support.lo, d.support.hi
-            assert d.pdf_poly.integrate(lo, hi) == pytest.approx(1.0, abs=1e-10)
+            assert pdf_integral(d) == pytest.approx(1.0, abs=1e-10)
             assert abs(d.cdf(lo)) <= 1e-10
             assert d.cdf(hi) == pytest.approx(1.0, abs=1e-10)
             xs = np.sort(rng.uniform(lo - 0.1, hi + 0.1, 40))
             fs = d.cdf(xs)
             assert np.all(np.diff(fs) >= -1e-12)
+
+    def test_pointwise_conventions(self):
+        # closed support, tails exactly 0 and 1, and a histogram bin that
+        # holds its lower edge (the last bin the top as well)
+        dists = (
+            uniform(0.0, 2.0),
+            epanechnikov(1.0, 1.0),
+            histogram(0.0, 2.0, [0.25, 0.75]),
+            histogram(0.0, 2.0, [0.3, 0.0]),
+        )
+        for d in dists:
+            assert d.pdf(-1e-9) == 0.0 and d.pdf(2.0 + 1e-9) == 0.0
+            assert d.cdf(-1e-9) == 0.0 and d.cdf(2.0 + 1e-9) == 1.0
+            assert d.cdf(-5.0) == 0.0 and d.cdf(5.0) == 1.0
+            assert isinstance(d.pdf(0.5), float) and isinstance(d.cdf(0.5), float)
+            assert d.pdf(np.zeros((2, 3))).shape == (2, 3)
+            assert d.cdf(np.zeros((2, 3))).shape == (2, 3)
+        assert uniform(0.0, 2.0).pdf(0.0) == 0.5 and uniform(0.0, 2.0).pdf(2.0) == 0.5
+        hist = dists[2]
+        assert hist.pdf(0.0) == 0.25
+        assert hist.pdf(1.0) == 0.75 and hist.pdf(np.nextafter(1.0, 0.0)) == 0.25
+        assert hist.pdf(2.0) == 0.75
+        assert hist.cdf(1.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_survival_plus_cdf_is_one_exactly(self):
         rng = np.random.default_rng(17)
@@ -281,8 +315,12 @@ class TestNegateAffine:
             dd = d.negate().negate()
             assert dd.support.lo == pytest.approx(d.support.lo, abs=1e-12)
             assert dd.support.hi == pytest.approx(d.support.hi, abs=1e-12)
-            bp = d.pdf_poly.breakpoints
-            assert dd.pdf_poly.breakpoints == pytest.approx(bp, abs=1e-12)
+            if d.kind == "histogram":
+                h = d.bin_weights.size
+                edges = histogram_edges(d.support.lo, d.support.width / h, h)
+                again = histogram_edges(dd.support.lo, dd.support.width / h, h)
+                assert again == pytest.approx(edges, abs=1e-12)
+                assert dd.bin_weights == pytest.approx(d.bin_weights, abs=1e-15)
             xs = np.linspace(d.support.lo, d.support.hi, 17)
             assert dd.pdf(xs) == pytest.approx(d.pdf(xs), abs=1e-12)
 
@@ -303,7 +341,7 @@ class TestNegateAffine:
     def test_affine_shifts_and_scales(self):
         d = epanechnikov(1.0, 0.5).affine(2.0, 3.0)
         assert (d.support.lo, d.support.hi) == (4.0, 6.0)
-        assert d.pdf_poly.integrate(4.0, 6.0) == pytest.approx(1.0, abs=1e-12)
+        assert pdf_integral(d) == pytest.approx(1.0, abs=1e-12)
 
     def test_affine_requires_positive_scale(self):
         with pytest.raises(ValueError):
@@ -397,8 +435,8 @@ class TestSampling:
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     def test_histogram_icdf_lands_on_bin_edges(self, offset):
         # At each nonzero-mass bin's table CDF value the inverse CDF gives
-        # that bin's left edge bit for bit, as the piecewise form's
-        # breakpoints do: every bin edge follows the one rule.
+        # that bin's left edge bit for bit, and the density changes bins
+        # exactly there: every bin edge follows the one rule.
         rng = np.random.default_rng(int(offset) % 1000 + 31)
         checked = 0
         for h in range(1, 10):
@@ -420,7 +458,10 @@ class TestSampling:
             checked += np.count_nonzero(filled)
             for r in range(0, rows, 7):
                 d = histogram(lo[r], hi[r], weights[r])
-                assert np.array_equal(d.pdf_poly.breakpoints, edges[r])
+                density = d.bin_weights / binw[r, 0]
+                assert np.array_equal(d.pdf(edges[r, :-1]), density)
+                below = np.nextafter(edges[r, 1:], -np.inf)
+                assert np.array_equal(d.pdf(below), density)
         assert checked > 1000
 
     def test_one_uniform_plane_per_draw(self):

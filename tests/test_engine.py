@@ -324,6 +324,15 @@ class TestStructuralProperties:
         with pytest.raises(ValueError):
             closed_pattern_prob(case, "ridge")
 
+    def test_node_tables_are_exact_to_their_degree(self):
+        # n Gauss-Legendre nodes integrate x^k over [-1, 1] exactly for
+        # k < 2n: degree 5 for the 3-node table, 15 for the 8-node one
+        for n, (xi, w) in engine._GAUSS_LEGENDRE.items():
+            for k in range(2 * n):
+                exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+                assert np.dot(w, xi**k) == pytest.approx(exact, abs=1e-14)
+            assert abs(np.dot(w, xi ** (2 * n)) - 2.0 / (2 * n + 1)) > 1e-6
+
     def test_probability_triple_iter_total(self):
         trip = ProbabilityTriple(0.1, 0.2, 0.3)
         assert list(trip) == [0.1, 0.2, 0.3]

@@ -355,6 +355,24 @@ class TestProbabilityRoundtrip:
         with pytest.raises(ValueError, match=message):
             load_probability_field(path, format="csv")
 
+    @pytest.mark.parametrize("edit", ["drop", "repeat", "move"])
+    def test_csv_needs_every_pixel_once(self, tmp_path, edit):
+        # a 4 x 5 table; line 1 + 1 * 4 + 2 is the row of (x, y) = (2, 1)
+        path = tmp_path / "prob.csv"
+        save_probability_field(sample_prob(shape=(5, 4)), path, format="csv")
+        lines = path.read_text().splitlines()
+        at = 1 + 1 * 4 + 2
+        assert lines[at].startswith("2,1,")
+        if edit == "drop":
+            del lines[at]
+        elif edit == "repeat":
+            lines.append("2,1,0.25,0.25,0.25,1")
+        else:  # a repeat in place of a dropped row, so the count is right
+            lines[at] = "1,1,0.25,0.25,0.25,1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="each pixel of its 4 x 5 grid once"):
+            load_probability_field(path, format="csv")
+
     def test_csv_integral_float_coordinates_load(self, tmp_path):
         path = tmp_path / "prob.csv"
         path.write_text("x,y,p_min,p_max,p_saddle,valid\n1.0,0,0.25,0.5,0,1\n0,0e0,0,0,0,0\n")

@@ -13,6 +13,7 @@ from critprob.synth import (
     mixture_base,
     random_case,
 )
+from test_distributions import pdf_integral
 
 
 class TestAckley:
@@ -144,8 +145,7 @@ class TestRandomCase:
             case = random_case(seed=5000 + i, model=model, bins=4)
             for d in (case.center, *case.neighbors):
                 assert isinstance(d, FiniteDistribution)
-                lo, hi = d.support.lo, d.support.hi
-                assert d.pdf_poly.integrate(lo, hi) == pytest.approx(1.0, abs=1e-10)
+                assert pdf_integral(d) == pytest.approx(1.0, abs=1e-10)
                 if d.bin_weights is not None:
                     assert d.bin_weights.sum() == pytest.approx(1.0, abs=1e-12)
                     assert np.all(d.bin_weights >= 0.0)
