@@ -1,289 +1,101 @@
-"""Tests for exact piecewise-polynomial arithmetic and integration."""
+"""Piecewise-polynomial behavior of the distributions and the closed form.
 
-import math
+Densities and CDFs are polynomials between kinks; these tests pin their
+pointwise conventions at and beyond the kinks, the Gauss-Legendre tables
+that integrate their products, and the range and stability of those
+products' integrals.
+"""
 
 import numpy as np
 import pytest
 
-from critprob.distributions import epanechnikov, uniform
-from critprob.piecewise import (
-    DegreeLimitError,
-    EmptyDomainError,
-    MAX_DEGREE,
-    PiecewisePolynomial,
-    gauss_legendre_nodes,
-    refine_and_multiply,
-    shift_coefficients,
-)
+from critprob import engine
+from critprob.distributions import epanechnikov, histogram, uniform
+from critprob.engine import NeighborhoodCase, closed_form_triple
+from rational_oracle import exact_triple
+
+# 8 ulps of 1, as in the rational-oracle tests
+BOUND = 8 * np.finfo(float).eps
 
 
-def trapezoid_integral(fn, lo: float, hi: float, panels: int = 10**6) -> float:
-    """Dense-sampling oracle: composite trapezoid rule with ``panels`` panels."""
-    x = np.linspace(lo, hi, panels + 1)
-    return float(np.trapezoid(fn(x), x))
-
-
-def random_poly(degree: int, lo: float, hi: float, seed: int) -> PiecewisePolynomial:
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(degree + 1)
-    return PiecewisePolynomial([lo, hi], [coeffs])
+def exact_spec(d):
+    lo, hi = d.support.lo, d.support.hi
+    if d.kind == "epanechnikov":
+        return ("epanechnikov", 0.5 * (lo + hi), 0.5 * (hi - lo))
+    return ("uniform", lo, hi)
 
 
 class TestEval:
-    def test_constant_one(self):
-        pp = PiecewisePolynomial.constant(0.0, 1.0, 1.0)
-        assert pp.eval(0.5) == 1.0
-
-    def test_identity_polynomial(self):
-        # value at x on [0, 2]: midpoint 1, local coeffs (1, 1)
-        pp = PiecewisePolynomial([0.0, 2.0], [[1.0, 1.0]])
-        assert pp.eval(1.5) == 1.5
-
     def test_epanechnikov_pdf_peak(self):
         # peak value 3 / (2 (b - a)) at the mean
         d = epanechnikov(1.0, 1.0)
         assert d.pdf(1.0) == pytest.approx(0.75, abs=1e-12)
 
     def test_out_of_range_tail_values(self):
-        pp = PiecewisePolynomial([0.0, 1.0], [[2.0]], below_value=-3.0, above_value=7.0)
-        assert pp.eval(-0.1) == -3.0
-        assert pp.eval(1.1) == 7.0
-        assert pp.eval(0.0) == 2.0
-        assert pp.eval(1.0) == 2.0
+        d = uniform(0.0, 1.0)
+        assert d.pdf(-0.1) == 0.0 and d.pdf(1.1) == 0.0
+        assert d.cdf(-0.1) == 0.0 and d.cdf(1.1) == 1.0
+        assert d.survival(-0.1) == 1.0 and d.survival(1.1) == 0.0
+        assert d.pdf(0.0) == 1.0 and d.pdf(1.0) == 1.0
 
     def test_interior_breakpoint_uses_right_piece(self):
-        pp = PiecewisePolynomial([0.0, 1.0, 2.0], [[1.0], [5.0]])
-        assert pp.eval(1.0) == 5.0
-        assert pp.eval(2.0) == 5.0
-
-    def test_vectorized_eval_matches_scalar(self):
-        pp = random_poly(5, -1.0, 3.0, seed=11)
-        xs = np.linspace(-1.5, 3.5, 37)
-        vec = pp.eval(xs)
-        assert vec == pytest.approx([pp.eval(float(x)) for x in xs], abs=0.0)
-
-    def test_midpoint_returns_constant_coefficient(self):
-        pp = random_poly(7, 0.25, 0.75, seed=3)
-        assert pp.eval(0.5) == pp.pieces[0][0]
-
-
-class TestConstruction:
-    def test_breakpoints_must_increase(self):
-        with pytest.raises(ValueError):
-            PiecewisePolynomial([0.0, 0.0], [[1.0]])
-
-    def test_needs_two_breakpoints(self):
-        with pytest.raises(ValueError):
-            PiecewisePolynomial([0.0], [])
-
-    def test_piece_count_must_match(self):
-        with pytest.raises(ValueError):
-            PiecewisePolynomial([0.0, 1.0, 2.0], [[1.0]])
-
-    def test_shift_coefficients_reexpands(self):
-        rng = np.random.default_rng(5)
-        coeffs = rng.standard_normal(6)
-        shifted = shift_coefficients(coeffs, 0.3)
-        t = rng.uniform(-1.0, 1.0, 50)
-        a = np.polynomial.polynomial.polyval(t, shifted)
-        b = np.polynomial.polynomial.polyval(t + 0.3, coeffs)
-        assert a == pytest.approx(b, abs=1e-12)
+        d = histogram(0.0, 2.0, [0.2, 0.8])
+        assert d.pdf(1.0) == 0.8
+        assert d.pdf(2.0) == 0.8
 
 
 class TestIntegrate:
-    def test_constant_one(self):
-        pp = PiecewisePolynomial.constant(0.0, 1.0, 1.0)
-        assert pp.integrate(0.0, 1.0) == pytest.approx(1.0, abs=0.0)
-
-    def test_identity_on_0_2(self):
-        pp = PiecewisePolynomial([0.0, 2.0], [[1.0, 1.0]])
-        assert pp.integrate(0.0, 2.0) == pytest.approx(2.0, abs=1e-15)
-
-    def test_degree_14_matches_trapezoid_oracle(self):
-        pp = random_poly(14, 0.0, 1.0, seed=42)
-        oracle = trapezoid_integral(pp.eval, 0.0, 1.0)
-        assert pp.integrate(0.0, 1.0) == pytest.approx(oracle, abs=1e-10)
-
     def test_monomials_exact_through_max_degree(self):
-        # Gauss-Legendre with ceil((d+1)/2) nodes is exact for degree d
+        # n nodes mapped onto [lo, hi] are exact for degree 2n - 1
         lo, hi = 0.7, 2.3
-        mid = 0.5 * (lo + hi)
-        for k in range(MAX_DEGREE + 1):
-            coeffs = np.zeros(k + 1)
-            coeffs[k] = 1.0
-            pp = PiecewisePolynomial([lo, hi], [coeffs])
-            exact = ((hi - mid) ** (k + 1) - (lo - mid) ** (k + 1)) / (k + 1)
-            assert pp.integrate(lo, hi) == pytest.approx(exact, rel=1e-13)
-
-    def test_clamps_to_support(self):
-        pp = PiecewisePolynomial.constant(0.0, 1.0, 2.0)
-        assert pp.integrate(-5.0, 5.0) == pytest.approx(2.0, abs=0.0)
-        assert pp.integrate(3.0, 4.0) == 0.0
-
-    def test_bounds_out_of_order(self):
-        pp = PiecewisePolynomial.constant(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            pp.integrate(1.0, 0.0)
-
-    def test_degree_limit_error(self):
-        pp = random_poly(MAX_DEGREE + 1, 0.0, 1.0, seed=0)
-        with pytest.raises(DegreeLimitError):
-            pp.integrate(0.0, 1.0)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for n, (xi, w) in engine._GAUSS_LEGENDRE.items():
+            x = mid + half * xi
+            for k in range(2 * n):
+                exact = ((hi - mid) ** (k + 1) - (lo - mid) ** (k + 1)) / (k + 1)
+                got = half * np.dot(w, (x - mid) ** k)
+                assert got == pytest.approx(exact, rel=1e-13, abs=1e-15)
 
     def test_node_count_limits(self):
-        with pytest.raises(DegreeLimitError):
-            gauss_legendre_nodes(17)
-        with pytest.raises(DegreeLimitError):
-            gauss_legendre_nodes(0)
-        xi, w = gauss_legendre_nodes(8)
-        assert w.sum() == pytest.approx(2.0, abs=1e-14)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(7)
-        for trial in range(20):
-            deg = int(rng.integers(0, 15))
-            c1 = rng.standard_normal(deg + 1)
-            c2 = rng.standard_normal(deg + 1)
-            a, b = rng.standard_normal(2)
-            p = PiecewisePolynomial([0.0, 1.0], [c1])
-            q = PiecewisePolynomial([0.0, 1.0], [c2])
-            combo = PiecewisePolynomial([0.0, 1.0], [a * c1 + b * c2])
-            lhs = combo.integrate(0.0, 1.0)
-            rhs = a * p.integrate(0.0, 1.0) + b * q.integrate(0.0, 1.0)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_additivity(self):
-        rng = np.random.default_rng(13)
-        pp = random_poly(9, -2.0, 2.0, seed=99)
-        for trial in range(50):
-            mid = float(rng.uniform(-2.0, 2.0))
-            split = pp.integrate(-2.0, mid) + pp.integrate(mid, 2.0)
-            assert split == pytest.approx(pp.integrate(-2.0, 2.0), abs=1e-12)
-
-    def test_antiderivative_matches_integrate(self):
-        pp = random_poly(6, 0.0, 3.0, seed=21)
-        anti = pp.antiderivative()
-        rng = np.random.default_rng(2)
-        for trial in range(50):
-            lo, hi = np.sort(rng.uniform(0.0, 3.0, 2))
-            assert anti.eval(float(hi)) - anti.eval(float(lo)) == pytest.approx(
-                pp.integrate(float(lo), float(hi)), abs=1e-11
-            )
-
-    def test_antiderivative_tails(self):
-        pp = PiecewisePolynomial([0.0, 1.0, 2.0], [[1.0], [3.0]])
-        anti = pp.antiderivative()
-        assert anti.eval(-1.0) == 0.0
-        assert anti.eval(5.0) == pytest.approx(4.0, abs=1e-14)
-        assert anti.eval(1.0) == pytest.approx(1.0, abs=1e-14)
+        # 3 nodes cover a degree-4 product, 8 a degree-14 one
+        assert sorted(engine._GAUSS_LEGENDRE) == [3, 8]
+        for n, (xi, w) in engine._GAUSS_LEGENDRE.items():
+            assert len(xi) == len(w) == n
+            assert w.sum() == pytest.approx(2.0, abs=1e-14)
+            assert np.all(np.diff(xi) > 0) and -1.0 < xi[0] and xi[-1] < 1.0
 
 
 class TestRefineAndMultiply:
-    def test_single_constant_factor(self):
-        one = PiecewisePolynomial.constant(0.0, 1.0, 1.0)
-        prod = refine_and_multiply([one], 0.0, 1.0)
-        assert len(prod.pieces) == 1
-        assert prod.eval(0.4) == 1.0
-
-    def test_squared_survival(self):
-        # S(x) = 1 - x on [0, 1]; product of two copies is (1 - x)^2
-        s = PiecewisePolynomial([0.0, 1.0], [[0.5, -1.0]], below_value=1.0, above_value=0.0)
-        prod = refine_and_multiply([s, s], 0.0, 1.0)
-        assert len(prod.pieces) == 1
-        assert prod.degree == 2
-        xs = np.linspace(0.0, 1.0, 11)
-        assert prod.eval(xs) == pytest.approx((1.0 - xs) ** 2, abs=1e-14)
-
-    def test_breakpoint_union_piece_count(self):
-        factors = [PiecewisePolynomial.constant(0.0, 1.0, 1.0) for _ in range(2)]
-        for b in (0.2, 0.4, 0.6):
-            factors.append(PiecewisePolynomial([0.0, b, 1.0], [[1.0], [1.0]]))
-        prod = refine_and_multiply(factors, 0.0, 1.0)
-        assert len(prod.pieces) == 4
-        assert prod.breakpoints == pytest.approx([0.0, 0.2, 0.4, 0.6, 1.0], abs=0.0)
-
-    def test_pointwise_product_at_random_abscissae(self):
-        rng = np.random.default_rng(17)
-        factors = [
-            uniform(0.1, 0.9).pdf_poly,
-            uniform(0.0, 0.7).survival_poly,
-            epanechnikov(0.5, 0.45).cdf_poly,
-            epanechnikov(0.4, 0.5).survival_poly,
-        ]
-        prod = refine_and_multiply(factors, 0.0, 1.0)
-        xs = rng.uniform(0.0, 1.0, 1000)
-        expect = np.ones_like(xs)
-        for f in factors:
-            expect *= f.eval(xs)
-        assert prod.eval(xs) == pytest.approx(expect, abs=1e-12)
-
     def test_probability_product_integral_in_unit_range(self):
         rng = np.random.default_rng(23)
         for trial in range(30):
             center = uniform(*np.sort(rng.uniform(0.0, 1.0, 2) * [1.0, 1.0] + [0.0, 1.0]))
-            factors = [center.pdf_poly]
+            nbrs = []
             for _ in range(4):
                 lo = float(rng.uniform(-0.5, 0.5))
                 hi = lo + float(rng.uniform(0.1, 1.5))
                 d = epanechnikov(0.5 * (lo + hi), 0.5 * (hi - lo)) if rng.random() < 0.5 else uniform(lo, hi)
-                factors.append(d.survival_poly if rng.random() < 0.5 else d.cdf_poly)
-            lo, hi = center.support.lo, center.support.hi
-            prod = refine_and_multiply(factors, lo, hi)
-            val = prod.integrate(lo, hi)
-            assert -1e-12 <= val <= 1.0 + 1e-12
-
-    def test_empty_domain_error(self):
-        one = PiecewisePolynomial.constant(0.0, 1.0, 1.0)
-        with pytest.raises(EmptyDomainError):
-            refine_and_multiply([one], 1.0, 1.0)
-        with pytest.raises(EmptyDomainError):
-            refine_and_multiply([one], 2.0, 1.0)
-
-    def test_no_factors_error(self):
-        with pytest.raises(ValueError):
-            refine_and_multiply([], 0.0, 1.0)
-
-    def test_tail_values_multiply(self):
-        f = PiecewisePolynomial([0.0, 1.0], [[1.0]], below_value=1.0, above_value=0.5)
-        g = PiecewisePolynomial([0.0, 1.0], [[1.0]], below_value=0.25, above_value=1.0)
-        prod = refine_and_multiply([f, g], 0.0, 1.0)
-        assert prod.below_value == 0.25
-        assert prod.above_value == 0.5
-
-    def test_product_degree_is_sum(self):
-        p = random_poly(3, 0.0, 1.0, seed=1)
-        q = random_poly(4, 0.0, 1.0, seed=2)
-        assert refine_and_multiply([p, q], 0.0, 1.0).degree == 7
-
-    def test_degree_limit_on_integration_of_big_product(self):
-        factors = [random_poly(3, 0.0, 1.0, seed=s) for s in range(11)]
-        prod = refine_and_multiply(factors, 0.0, 1.0)
-        assert prod.degree == 33
-        with pytest.raises(DegreeLimitError):
-            prod.integrate(0.0, 1.0)
-
-    def test_near_duplicate_breakpoints_merged(self):
-        a = PiecewisePolynomial([0.0, 0.5, 1.0], [[1.0], [1.0]])
-        b = PiecewisePolynomial([0.0, 0.5 + 1e-15, 1.0], [[1.0], [1.0]])
-        prod = refine_and_multiply([a, b], 0.0, 1.0)
-        assert len(prod.pieces) == 2
+                nbrs.append(d)
+            got = closed_form_triple(NeighborhoodCase(center, nbrs))
+            want = exact_triple(exact_spec(center), [exact_spec(d) for d in nbrs])
+            for p, q in zip(got, want):
+                assert 0.0 <= p <= 1.0
+                assert abs(p - q) <= BOUND
 
 
 class TestStability:
     def test_far_from_origin_product(self):
-        # narrow supports at large abscissae: local coordinates keep the
-        # degree-14 product integral accurate
-        shift = 1e6
-        center = epanechnikov(shift + 0.5, 0.5)
-        factors = [center.pdf_poly]
-        for k in range(4):
-            d = epanechnikov(shift + 0.4 + 0.05 * k, 0.5)
-            factors.append(d.survival_poly)
-        lo, hi = center.support.lo, center.support.hi
-        prod = refine_and_multiply(factors, lo, hi)
-        val = prod.integrate(lo, hi)
-        base_factors = [epanechnikov(0.5, 0.5).pdf_poly] + [
-            epanechnikov(0.4 + 0.05 * k, 0.5).survival_poly for k in range(4)
-        ]
-        base = refine_and_multiply(base_factors, 0.0, 1.0).integrate(0.0, 1.0)
-        assert val == pytest.approx(base, abs=1e-9)
+        # narrow supports at large abscissae: the degree-14 product
+        # integral matches the same stencil at the origin
+        def triple(shift):
+            center = epanechnikov(shift + 0.5, 0.5)
+            nbrs = [epanechnikov(shift + 0.4 + 0.05 * k, 0.5) for k in range(4)]
+            case = NeighborhoodCase(center, nbrs)
+            got = closed_form_triple(case)
+            want = exact_triple(exact_spec(center), [exact_spec(d) for d in nbrs])
+            for p, q in zip(got, want):
+                assert abs(p - q) <= BOUND
+            return got
+
+        far, base = triple(1e6), triple(0.0)
+        assert list(far) == pytest.approx(list(base), abs=1e-9)
