@@ -674,7 +674,10 @@ def _closed_chunk(groups, channels) -> dict[str, np.ndarray]:
     every dead interval holds the +0.0 it would have added, and each
     plane row is reduced as one contiguous row.  Nodes are added in
     order and a pixel's intervals reduced in the same order whatever the
-    chunk, so a pixel's rounding never depends on the chunk size.
+    chunk, so a pixel's rounding never depends on the chunk size.  A row
+    sum that rounds below 0, as one can where an Epanechnikov CDF
+    cancels next to a touching support, is raised to +0.0, where the
+    exact value lies.
     """
     c_kind, _, c_pos = groups[0]
     if c_kind == "epanechnikov":
@@ -807,22 +810,23 @@ def _closed_chunk(groups, channels) -> dict[str, np.ndarray]:
     out = {}
     for ch in channels:
         plane.reshape(-1)[live] = sums[ch]
-        out[ch] = plane.sum(axis=1)
+        out[ch] = np.maximum(plane.sum(axis=1), 0.0)
     return out
 
 
 # Draws per tile of the semianalytical kernel (pixels times draws) and
 # per block of single-case Monte Carlo.  A Monte Carlo block takes about
-# 32 bytes per drawn cell (splitmix64 scratch, the uniform plane, the
-# draws) and 12 per stencil (comparison and pair flags, hit counters);
-# a single case's 3 x 3 block holds nine cells for its one stencil, about
-# 110 bytes per draw, so a uniform case at 10^6 draws peaks at 4.0 MiB
-# here, against 8.0 MiB at 65536.
+# 16 bytes per drawn cell (the uniform plane and the draws, which hold
+# the plane's splitmix64 hash until the kernel fills them; 24 for a
+# Gaussian's two planes) and 12 per stencil (comparison and pair flags,
+# hit counters); a single case's 3 x 3 block holds nine cells for its
+# one stencil, about 96 bytes per draw, so a uniform case at 10^6 draws
+# peaks at 3.5 MiB here, against 7.0 MiB at 65536.
 TILE_DRAWS = 32768
 
-# Stencil draws per block of grid Monte Carlo, about 53 bytes each on a
-# 64-wide grid, so a block of a 64 x 64 uniform field peaks at 3.7 MiB
-# (tracemalloc; 2.0 at 32768, 7.0 at 131072).  Fewer draws per block
+# Stencil draws per block of grid Monte Carlo, about 33 bytes each on a
+# 64-wide grid, so a block of a 64 x 64 uniform field peaks at 2.4 MiB
+# (tracemalloc; 1.4 at 32768, 4.4 at 131072).  Fewer draws per block
 # mean more numpy calls per draw (about 45 per block) and, on the thread
 # pool, more passes of the interpreter lock.  Measured on a 2-core x86
 # host (48 KiB L1d, 2 MiB L2 per core), Monte Carlo (2000) of a 64 x 64
@@ -913,8 +917,11 @@ def _mc_chunk(groups, rows, width, n, channels, budget, copies=()) -> dict[str, 
     ties count against every pattern.
 
     Every block reuses the same buffers: the uniform planes, the draws,
-    the comparison and pair flags.  Matches add up in uint8 counters,
-    moved to the int64 counts every 255 blocks and at the end of a tile.
+    the comparison and pair flags.  A group's uniform planes are hashed,
+    one after the other, in the draw cells the kernel then fills from
+    them, so drawing needs no scratch of its own.  Matches add up in
+    uint8 counters, moved to the int64 counts every 255 blocks and at
+    the end of a tile.
     Counts are integers, divided by ``n`` once, so the tile and block
     layout changes no result.
     """
@@ -927,7 +934,6 @@ def _mc_chunk(groups, rows, width, n, channels, budget, copies=()) -> dict[str, 
         for sl in tiles
         for first, keys, _, _ in groups
     )
-    scratch = np.empty(2 * piece * draws, dtype=np.uint64)
     u = np.empty(max(keys.shape[1] for _, keys, _, _ in groups) * piece * draws)
     xs = np.empty(size * width * draws)
     # each cell below and above its right neighbor in a stencil row, and
@@ -956,11 +962,11 @@ def _mc_chunk(groups, rows, width, n, channels, budget, copies=()) -> dict[str, 
                     continue
                 own = slice(a0 - first, a1 - first)
                 planes = _shaped(u, keys.shape[1], a1 - a0, m)
+                # the cells hash their own draws before the kernel fills them
+                drawn = cells[a0 - c0 : a1 - c0]
                 for q, plane in enumerate(planes):
-                    rngstream.fill_units(
-                        keys[own, q], ctr, plane, _shaped(scratch, 2, a1 - a0, m)
-                    )
-                kernel(*(p[own] for p in params), *planes, cells[a0 - c0 : a1 - c0])
+                    rngstream.fill_units(keys[own, q], ctr, plane, drawn.view(np.uint64))
+                kernel(*(p[own] for p in params), *planes, drawn)
             for cell, source in copies:
                 cells[cell] = cells[source]
             h, v = x[1:-1], x[:, 1:-1]  # stencil rows, inner columns
@@ -1008,7 +1014,6 @@ def _semi_chunk(samplers, px_idx, c, seed, channels) -> dict[str, np.ndarray]:
     keys = rngstream.stream_keys(seed, px_idx, 1)[:, 0]
     ctr = rngstream.counters(0, c)
     size, tiles = _tiles(px_idx.size, c)
-    scratch = np.empty((2, size, c), dtype=np.uint64)
     u = np.empty((size, c))
     x = np.empty((size, c))
     cdf = np.empty((len(nbrs), size, c))
@@ -1017,7 +1022,7 @@ def _semi_chunk(samplers, px_idx, c, seed, channels) -> dict[str, np.ndarray]:
     out = {ch: np.empty(px_idx.size) for ch in channels}
     for sl in tiles:
         k = sl.stop - sl.start
-        rngstream.fill_units(keys[sl], ctr, u[:k], scratch[:, :k])
+        rngstream.fill_units(keys[sl], ctr, u[:k], x[:k].view(np.uint64))
         kernel(*(a[sl] for a in center), u[:k], x[:k])
         for i, params in enumerate(nbrs):
             histogram_cdf_values(*(a[sl] for a in params), x[:k], cdf[i, :k])

@@ -12,7 +12,10 @@ per bounded distribution and two per Gaussian (for the Box-Muller pair).
 ``stream_keys`` gives each (pixel, plane) stream its key, and
 ``fill_units`` writes the draws of a batch of streams into caller-owned
 buffers, so a kernel that works through small tiles allocates nothing
-per tile.
+per tile.  The hash needs one uint64 plane besides the output, and the
+output itself serves as the mixer's other operand until the draws
+overwrite it; a kernel lends the plane its sampled values go into
+next, so drawing costs no memory beyond the uniforms and the samples.
 """
 
 from __future__ import annotations
@@ -64,15 +67,16 @@ def counters(start: int, stop: int) -> np.ndarray:
     return (np.arange(start, stop, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
 
 
-def fill_units(keys: np.ndarray, ctr: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+def fill_units(keys: np.ndarray, ctr: np.ndarray, out: np.ndarray, z: np.ndarray) -> None:
     """Write the draws of streams ``keys`` (k,) at ``ctr`` (n,) into ``out`` (k, n).
 
-    ``scratch`` is a uint64 (2, k, n) work area.  Every step runs in
-    place, so nothing is allocated.
+    The hash runs in ``z``, any uint64 (k, n) plane that does not overlap
+    ``out``, and is left holding the shifted hash.  ``out``'s bits are
+    the mixer's scratch until the draws overwrite them.  Every step runs
+    in place, so nothing is allocated.
     """
-    z, tmp = scratch
     np.add(keys[:, None], ctr, out=z)
-    _mix(z, tmp)
+    _mix(z, out.view(np.uint64))
     z >>= 11
     # below 2**53 now, so the signed conversion is exact and faster
     np.multiply(z.view(np.int64), _INV_2_53, out=out)
@@ -83,13 +87,16 @@ def unit_block(seed: int, pixels, planes: int, n: int) -> np.ndarray:
 
     ``pixels`` is an integer array of pixel indices; scalar callers pass
     a length-1 array and drop the first axis.  Draws for a given
-    (seed, pixel, plane, i) never depend on the rest of the block.
+    (seed, pixel, plane, i) never depend on the rest of the block.  The
+    block is filled plane by plane, each plane contiguous, and returned
+    as a view with the pixel axis first: the mixer is about twice as slow
+    on the strided (pixels, n) slice of a pixel-major block.
     """
     keys = stream_keys(seed, pixels, planes)
     ctr = counters(0, n)
-    out = np.empty(keys.shape + (n,))
-    scratch = np.empty((2, keys.shape[0], n), dtype=np.uint64)
+    out = np.empty((planes, keys.shape[0], n))
+    z = np.empty((keys.shape[0], n), dtype=np.uint64)
     for q in range(planes):
-        fill_units(keys[:, q], ctr, out[:, q], scratch)
-    return out
+        fill_units(keys[:, q], ctr, out[q], z)
+    return out.transpose(1, 0, 2)
 

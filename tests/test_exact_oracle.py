@@ -9,7 +9,7 @@ histograms of 1 to 9 bins with empty bins.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from critprob.distributions import epanechnikov, histogram, uniform
@@ -140,10 +140,25 @@ def grid_spec(kind, p):
     return (kind, *p)
 
 
+# The east and north supports touch the center's: the minimum is exactly
+# 1.1e-53, and its row sum, unclipped, rounds to -8.3e-44.
+TOUCHING_EPANECHNIKOV = (
+    ["epanechnikov"] * 5,
+    [
+        (1.000125, 0.0003749999999999587),  # center
+        (0.999, 0.0007500000000000284),  # east
+        (1.001125, 0.0006249999999999867),  # north
+        (1.0025518594859344, 0.0003750000000000142),  # west
+        (1.001875, 0.00012500000000004174),  # south
+    ],
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(stencils(neighbors=(4,), same_kind=True))
+@example(TOUCHING_EPANECHNIKOV)
 def test_grid_matches_exact(stencil):
-    # no [0, 1] check: the grid does not divide by the center's
+    # no upper check: the grid does not divide by the center's
     # quadrature mass, so a certain pattern can read 1 + 1 ulp there
     kinds, params = stencil
     field = same_kind_field(kinds, params)
@@ -152,6 +167,7 @@ def test_grid_matches_exact(stencil):
     want = exact_triple(specs[0], specs[1:])
     for ch, q in zip(("min", "max", "saddle"), want):
         assert abs(prob.channel(ch)[1, 1] - q) <= BOUND
+        assert prob.channel(ch)[1, 1] >= 0.0
 
 
 def test_constant_histogram_far_from_the_origin():

@@ -47,8 +47,8 @@ class TestUnitBlock:
         keys = stream_keys(21, px, 3)
         assert np.array_equal(stream_keys(21, px[10:15], 3), keys[10:15])
         out = np.empty((5, 50))
-        scratch = np.empty((2, 5, 50), dtype=np.uint64)
-        fill_units(keys[10:15, 2], counters(0, 50), out, scratch)
+        z = np.empty((5, 50), dtype=np.uint64)
+        fill_units(keys[10:15, 2], counters(0, 50), out, z)
         assert np.array_equal(out, blk[10:15, 2])
 
     def test_counter_range_matches_block_slice(self):
@@ -58,10 +58,25 @@ class TestUnitBlock:
         blk = unit_block(seed=11, pixels=px, planes=3, n=20)
         keys = stream_keys(11, px, 3)
         out = np.empty((1, 13))
-        scratch = np.empty((2, 1, 13), dtype=np.uint64)
+        z = np.empty((1, 13), dtype=np.uint64)
         for q in range(3):
-            fill_units(keys[:, q], counters(7, 20), out, scratch)
+            fill_units(keys[:, q], counters(7, 20), out, z)
             assert np.array_equal(out, blk[:, q, 7:])
+
+    def test_hash_plane_may_be_the_samples_plane(self):
+        # the sampling kernels lend the float plane they fill next as the
+        # hash plane: each uniform plane of a stream batch is hashed in
+        # it in turn, and the samples then overwrite it
+        px = np.arange(8, 14)
+        blk = unit_block(seed=5, pixels=px, planes=2, n=30)
+        keys = stream_keys(5, px, 2)
+        u = np.empty((2, 6, 30))
+        x = np.full((6, 30), np.nan)
+        for q in range(2):
+            fill_units(keys[:, q], counters(0, 30), u[q], x.view(np.uint64))
+        np.add(u[0], u[1], out=x)
+        assert np.array_equal(u, blk.transpose(1, 0, 2))
+        assert np.array_equal(x, blk.sum(axis=1))
 
     def test_uniform_marginals(self):
         u = unit_block(seed=13, pixels=np.arange(8), planes=1, n=4096).ravel()
