@@ -266,12 +266,12 @@ class FiniteDistribution:
         """
         arr = np.asarray(x, dtype=float)
         lo, hi = self.support.lo, self.support.hi
-        if self.kind == "uniform":
+        if self.kind != "histogram":
             out = np.full(arr.shape, 1.0 / (hi - lo))
-        elif self.kind == "epanechnikov":
-            mean, halfwidth = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            u = (arr - mean) / halfwidth
-            out = 0.75 / halfwidth * (1.0 - u * u)
+            if self.kind == "epanechnikov":
+                # 6 t (1 - t) times the uniform density, as the kernel weighs it
+                t = (arr - lo) / (hi - lo)
+                out *= 6.0 * (t * (1.0 - t))
         else:
             h = self.bin_weights.size
             binw = (hi - lo) / h
@@ -284,12 +284,10 @@ class FiniteDistribution:
         """Distribution function at ``x``: 0 below the support, 1 above it."""
         arr = np.asarray(x, dtype=float)
         lo, hi = self.support.lo, self.support.hi
-        if self.kind == "uniform":
+        if self.kind != "histogram":
             out = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
-        elif self.kind == "epanechnikov":
-            mean, halfwidth = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            u = np.clip((arr - mean) / halfwidth, -1.0, 1.0)
-            out = (0.5 + 0.75 * u) - 0.25 * u**3
+            if self.kind == "epanechnikov":
+                out = out * out * (3.0 - 2.0 * out)
         else:
             table = histogram_table(np.array([lo]), np.array([hi]), self.bin_weights[None, :])
             out = np.empty((1, arr.size))

@@ -16,10 +16,11 @@ of survival and distribution factors.
 
 One kernel, ``_closed_chunk``, evaluates these integrals for a batch of
 stencils at once on flat parameter arrays, with one node set per pixel
-for all three channels.  Each stencil is shifted so the center's support
-is centered on zero; every kink (support end or ``histogram_edges`` bin
-edge of the five positions) is clipped to the center's support and sorted once,
-and Gauss-Legendre nodes on each interval between kinks (8 when any
+for all three channels.  Every bounded kind enters as its support (lo,
+hi[, weights]), the floats its ``dist_at`` holds.  Each stencil is
+shifted so the center's support is centered on zero; every kink
+(support end or ``histogram_edges`` bin edge of the five positions) is
+clipped to the center's support and sorted once, and Gauss-Legendre nodes on each interval between kinks (8 when any
 position is Epanechnikov, 3 otherwise) integrate every channel exactly.  A
 kink outside the center's support is clipped onto one of its ends, so
 it leaves an interval of zero width, whose node weights are zero and
@@ -30,7 +31,10 @@ runs on the live intervals alone, those of nonzero width, taken as one
 flat list with the pixel row of each.  What does not depend on the
 node is found once per live interval: each neighbor's CDF value at the
 midpoint and its slope, read for histograms from ``histogram_table``,
-and the center density times the half-width.  The kernel then takes
+and the center density times the half-width.  For the uniform and
+Epanechnikov kinds both are taken on the support's line t = (x - lo) /
+(hi - lo): the CDFs are t and t^2 (3 - 2 t), and an Epanechnikov center
+weighs the uniform density by 6 t (1 - t).  The kernel then takes
 one node at a time: the center weight and the four neighbor CDFs
 at that node are written in place into a fixed (16, live intervals)
 workspace, and every channel, a different product of the same rows,
@@ -204,9 +208,8 @@ def _require_histograms(case: NeighborhoodCase) -> None:
 def _case_groups(case: NeighborhoodCase) -> list:
     """The ``_closed_chunk`` groups of a case as a one-pixel stencil.
 
-    Positions are grouped by kind and bin count, center first.  An
-    Epanechnikov distribution enters as the midpoint and half-width of
-    its support, the values its sampler draws from.
+    Positions are grouped by kind and bin count, center first.  Every
+    distribution enters as its support, (lo, hi[, weights]).
     """
     dists = (case.center, *case.neighbors)
     found = {}
@@ -217,10 +220,7 @@ def _case_groups(case: NeighborhoodCase) -> list:
     for (kind, _), positions in found.items():
         lo = np.array([[dists[i].support.lo] for i in positions])
         hi = np.array([[dists[i].support.hi] for i in positions])
-        if kind == "epanechnikov":
-            params = {"mean": 0.5 * (lo + hi), "halfwidth": 0.5 * (hi - lo)}
-        else:
-            params = {"lo": lo, "hi": hi}
+        params = {"lo": lo, "hi": hi}
         if kind == "histogram":
             params["weights"] = np.array([[dists[i].bin_weights] for i in positions])
         groups.append((kind, positions, params))
@@ -234,9 +234,8 @@ def _closed_case(case: NeighborhoodCase, channels) -> dict[str, float]:
     the same order, rounds away from 1 by an ulp or so; a certain
     pattern's channel is that same sum, so after the division it is
     exactly 1.  The ratio is then clipped into [0, 1], where the exact
-    value lies, so the clip moves it only toward that value: an
-    Epanechnikov CDF, (0.5 + 0.75 u) - 0.25 u^3, cancels near u = -1 and
-    can round to a few 1e-17 below 0 next to a touching support.
+    value lies, so the clip, a guard against rounding, moves it only
+    toward that value.
     """
     _require_bounded(case)
     out = _closed_chunk(_case_groups(case), (*channels, "mass"))
@@ -515,8 +514,19 @@ def pixel_index(field: UncertainField, row: int, col: int) -> int:
     return row * field.width + col
 
 
-def _band_params(band: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A band of whole field rows as flat per-pixel parameter arrays.
+def _support_params(kind: str, p: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Field parameters as the support record (lo, hi[, weights]) the kernels read.
+
+    A field stores Epanechnikov pixels as (mean, halfwidth); their support
+    (mean - halfwidth, mean + halfwidth) is the ``Support`` of ``dist_at``.
+    """
+    if kind != "epanechnikov":
+        return p
+    return {"lo": p["mean"] - p["halfwidth"], "hi": p["mean"] + p["halfwidth"]}
+
+
+def _band_params(kind: str, band: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A band of whole field rows as flat per-pixel support records.
 
     Histogram weights are normalized here, as ``FiniteDistribution``
     does; the kernels' histogram tables use the weights as given.
@@ -525,24 +535,17 @@ def _band_params(band: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     if "weights" in flat:
         w = flat["weights"]
         flat["weights"] = w / w.sum(axis=-1, keepdims=True)
-    return flat
+    return _support_params(kind, flat)
 
 
-def _support_bounds(kind: str, p: dict[str, np.ndarray]):
-    if kind == "epanechnikov":
-        return p["mean"] - p["halfwidth"], p["mean"] + p["halfwidth"]
-    return p["lo"], p["hi"]
-
-
-def _centered(kind: str, p, origin):
-    """Parameters of one kind shifted by ``origin``, the center's midpoint.
+def _centered(p, origin):
+    """Support parameters shifted by ``origin``, the center's midpoint.
 
     Probabilities are shift-invariant.  In the shifted frame, node
     coordinates are on the scale of the support widths, so narrow
     supports far from the origin keep their relative precision.
     """
-    keys = ("mean",) if kind == "epanechnikov" else ("lo", "hi")
-    return {**p, **{k: p[k] - origin for k in keys}}
+    return {**p, "lo": p["lo"] - origin, "hi": p["hi"] - origin}
 
 
 def _closed_kinks(lo, hi, table=None) -> np.ndarray:
@@ -571,12 +574,12 @@ def _neighbor_lines(kind: str, p, nbr, mid, half):
     width, the CDF's slope.  ``nbr`` is the (k, L) rows of the group's k
     neighbors of each of the L intervals, whose midpoints and
     half-widths are ``mid`` and ``half``.  Returns the (k, L) value at
-    each midpoint and the change per unit node coordinate; the value at node ``x`` is
-    ``at_mid + slope * x``, and for the Epanechnikov model it is the
-    scaled coordinate ``u`` that the CDF cubic takes.  No interval
-    straddles one of the neighbor's kinks, so on each interval its CDF
-    is 0, 1, or a single polynomial piece, found once from the interval
-    midpoint.  Intervals outside the support get zero slope, so
+    each midpoint and the change per unit node coordinate; the value at
+    node ``x`` is ``at_mid + slope * x``, for other kinds the support's
+    line t = (x - lo) / (hi - lo), which the Epanechnikov CDF takes.  No
+    interval straddles one of the neighbor's kinks, so on each interval
+    its CDF is 0, 1, or a single polynomial piece, found once from the
+    interval midpoint.  Intervals outside the support get zero slope, so
     their nodes take the tail value exactly.
     """
     if kind == "histogram":
@@ -592,17 +595,11 @@ def _neighbor_lines(kind: str, p, nbr, mid, half):
         at_mid += slope * (mid - (lo + binw * j))
         slope *= half
         return np.clip(at_mid, 0.0, 1.0, out=at_mid), slope
-    if kind == "epanechnikov":
-        mean, hw = np.take(p["mean"], nbr), np.take(p["halfwidth"], nbr)
-        lo, hi = mean - hw, mean + hw
-        at_mid = np.clip((mid - mean) / hw, -1.0, 1.0)
-        slope = half / hw
-    else:
-        lo, hi = np.take(p["lo"], nbr), np.take(p["hi"], nbr)
-        slope = 1.0 / (hi - lo)
-        at_mid = slope * (mid - lo)
-        np.clip(at_mid, 0.0, 1.0, out=at_mid)
-        slope *= half
+    lo, hi = np.take(p["lo"], nbr), np.take(p["hi"], nbr)
+    slope = 1.0 / (hi - lo)
+    at_mid = slope * (mid - lo)
+    np.clip(at_mid, 0.0, 1.0, out=at_mid)
+    slope *= half
     inside = (mid > lo) & (mid < hi)
     return at_mid, np.where(inside, slope, 0.0)
 
@@ -646,14 +643,15 @@ def _closed_chunk(groups, channels) -> dict[str, np.ndarray]:
 
     ``groups`` lists the stencil positions of each kind and bin count as
     (kind, positions, params): the ascending positions (0 the center,
-    then east, north, west and south, or east and north alone) and a map
-    of each parameter name to its (len(positions), pixels) values, or
-    (len(positions), pixels, bins) histogram weights.  A grid chunk is
-    one group of all five positions; a single case has a group for each
-    kind and bin count among its distributions.  Every kink is clipped
-    to the center's support and sorted once; the center density and the
-    neighbor CDFs are evaluated on the resulting Gauss-Legendre nodes,
-    and each channel is a different product of those same values.  This
+    then east, north, west and south, or east and north alone) and the
+    support record of those positions: ``lo`` and ``hi``, each
+    (len(positions), pixels), and for histograms the (len(positions),
+    pixels, bins) ``weights``.  A grid chunk is one group of all five
+    positions; a single case has a group for each kind and bin count
+    among its distributions.  Every kink is clipped to the center's
+    support and sorted once; the center density and the neighbor CDFs
+    are evaluated on the resulting Gauss-Legendre nodes, and each
+    channel is a different product of those same values.  This
     is exact: every factor is a polynomial between consecutive kinks,
     and each channel's integrand vanishes outside its own range.
     ``channels`` may also name ``"mass"``, the sum of the node weights
@@ -675,19 +673,14 @@ def _closed_chunk(groups, channels) -> dict[str, np.ndarray]:
     plane row is reduced as one contiguous row.  Nodes are added in
     order and a pixel's intervals reduced in the same order whatever the
     chunk, so a pixel's rounding never depends on the chunk size.  A row
-    sum that rounds below 0, as one can where an Epanechnikov CDF
-    cancels next to a touching support, is raised to +0.0, where the
-    exact value lies.
+    sum below 0, which only rounding could give, is raised to +0.0.
     """
     c_kind, _, c_pos = groups[0]
-    if c_kind == "epanechnikov":
-        origin = c_pos["mean"][0]
-    else:
-        origin = 0.5 * (c_pos["lo"][0] + c_pos["hi"][0])
+    origin = 0.5 * (c_pos["lo"][0] + c_pos["hi"][0])
     found, kinks = [], []
     for kind, positions, p in groups:
-        p = _centered(kind, p, origin)
-        lo, hi = _support_bounds(kind, p)
+        p = _centered(p, origin)
+        lo, hi = p["lo"], p["hi"]
         table = None
         if kind == "histogram":
             bins = p["weights"].shape[-1]
@@ -730,12 +723,12 @@ def _closed_chunk(groups, channels) -> dict[str, np.ndarray]:
         at_mid, slope = (np.concatenate(part) for part in zip(*lines))
     epan = any(kind == "epanechnikov" for kind, _, _, _, _ in found)
     xi, wts = _GAUSS_LEGENDRE[8 if epan else 3]
-    if c_kind == "epanechnikov":
-        hw = np.take(c_pos["halfwidth"][0], row)
-        c_mid, c_slope = (mid - np.take(c_pos["mean"][0], row)) / hw, half / hw
-        c_scale = 0.75 / hw
-    elif c_kind == "uniform":
-        density = np.take(1.0 / (c_hi[0] - c_lo[0]), row) * half
+    if c_kind != "histogram":
+        scale = np.take(1.0 / (c_hi[0] - c_lo[0]), row)
+        density = scale * half
+        if c_kind == "epanechnikov":
+            # the center's line t at node x is c_mid + density * x
+            c_mid = scale * (mid - np.take(c_lo[0], row))
     else:
         # the center's bins only, as every live midpoint is on its support
         bins = c_pos[2].shape[1] - 2
@@ -754,7 +747,7 @@ def _closed_chunk(groups, channels) -> dict[str, np.ndarray]:
     sf, cdf = sf_cdf
     terms = work[5:8]  # scratch once ew and ns are found
     acc = work[13:16]  # min, max, saddle
-    u, s = cdf[cubic], sf[cubic]  # Epanechnikov neighbors
+    t, s = cdf[cubic], sf[cubic]  # Epanechnikov neighbors
     east, north = sf_cdf[:, order.index(1)], sf_cdf[:, order.index(2)]
     # [below, above] the east/west pair and the north/south pair
     if len(order) == 4:
@@ -767,25 +760,24 @@ def _closed_chunk(groups, channels) -> dict[str, np.ndarray]:
     for k in range(xi.size):
         # quadrature weight of the node, center density included
         if c_kind == "epanechnikov":
-            np.multiply(c_slope, xi[k], out=g)
+            # 6 t (1 - t) times the uniform density, with terms as
+            # scratch until the neighbor CDFs are written
+            np.multiply(density, xi[k], out=g)
             np.add(c_mid, g, out=g)
-            np.multiply(g, g, out=g)
-            np.subtract(1.0, g, out=g)
-            np.multiply(c_scale, g, out=g)
-            np.multiply(g, half, out=g)
-            np.multiply(g, wts[k], out=g)
+            np.subtract(1.0, g, out=terms[0])
+            np.multiply(g, terms[0], out=g)
+            np.multiply(g, density, out=g)
+            np.multiply(g, 6.0 * wts[k], out=g)
         else:
             np.multiply(density, wts[k], out=g)
         np.multiply(slope, xi[k], out=cdf)
         np.add(at_mid, cdf, out=cdf)
         if cubic.stop:
-            # CDF (0.5 + 0.75 u) - 0.25 u^3, with sf as scratch
-            np.multiply(u, u, out=s)
-            np.multiply(s, u, out=s)
-            np.multiply(0.25, s, out=s)
-            np.multiply(0.75, u, out=u)
-            np.add(0.5, u, out=u)
-            np.subtract(u, s, out=u)
+            # CDF t^2 (3 - 2 t), with sf as scratch
+            np.multiply(t, -2.0, out=s)
+            np.add(s, 3.0, out=s)
+            np.multiply(t, t, out=t)
+            np.multiply(t, s, out=t)
         np.subtract(1.0, cdf, out=sf)
         if len(order) == 4:
             np.multiply(east, west, out=ew)
@@ -857,7 +849,7 @@ def _sampler(kind: str, p: dict[str, np.ndarray]):
     """
     if kind == "gaussian":
         return 2, box_muller, (p["mean"][:, None], p["stddev"][:, None])
-    return 1, *icdf_sampler(kind, *_support_bounds(kind, p), p.get("weights"))
+    return 1, *icdf_sampler(kind, p["lo"], p["hi"], p.get("weights"))
 
 
 # Stencil rows per Monte Carlo tile, at least.  A tile draws its own rows
@@ -1045,7 +1037,7 @@ def _chunk_task(payload) -> dict[str, np.ndarray]:
     """
     method, kind, band, origin, centers, estimator, channels = payload
     rows, width = next(iter(band.values())).shape[:2]
-    params = _band_params(band)
+    params = _band_params(kind, band)
     if method == "monte_carlo":
         # the chunk's pixels are every interior pixel of the band's inner rows
         per, kernel, columns = _sampler(kind, params)
@@ -1109,10 +1101,9 @@ def classify_field(
     if method == "closed_form":
         # a center of zero width has no live interval, and the kernel
         # would give it 0 for every channel
-        inner_params = {name: arr[1:-1, 1:-1] for name, arr in field.params.items()}
-        lo, hi = _support_bounds(kind, inner_params)
-        zero = np.count_nonzero(hi <= lo)
-        del lo, hi
+        sup = _support_params(kind, {n: a[1:-1, 1:-1] for n, a in field.params.items()})
+        zero = np.count_nonzero(sup["hi"] <= sup["lo"])
+        del sup
         if zero:
             raise ValueError(f"{zero} interior supports have zero or negative width")
 

@@ -168,6 +168,8 @@ class UncertainField:
     - epanechnikov:  mean, halfwidth
     - histogram:     lo, hi, weights (height, width, bins)
     - gaussian:      mean, stddev
+
+    The kernels read a bounded kind as its support, as ``dist_at`` does.
     """
 
     def __init__(self, model: ModelSpec, params: dict[str, np.ndarray]) -> None:

@@ -3,14 +3,15 @@
 An independent check of the closed form that imports nothing from
 critprob.  Every float is an exact rational, and so is every integral of
 the bounded kinds: uniform and histogram densities are piecewise
-constant and the Epanechnikov density is quadratic, so each probability
+constant and the Epanechnikov density is quadratic, 6 t (1 - t) / (hi -
+lo) on t = (x - lo) / (hi - lo) with CDF 3 t^2 - 2 t^3, so each probability
 is a sum of polynomial integrals between consecutive kinks, taken here
 exactly with ``fractions.Fraction`` and rounded once at the end.
 
 A distribution is a tuple of floats, the values the closed form reads:
 
 - ``("uniform", lo, hi)``;
-- ``("epanechnikov", mean, halfwidth)``;
+- ``("epanechnikov", lo, hi)``;
 - ``("histogram", lo, hi, weights)``, with bin k on
   [lo + k (hi - lo) / h, lo + (k + 1) (hi - lo) / h] and the weights
   divided by their exact sum.
@@ -19,8 +20,6 @@ A distribution is a tuple of floats, the values the closed form reads:
 from __future__ import annotations
 
 from fractions import Fraction
-
-_HALF = Fraction(1, 2)
 
 
 def _mul(p, q):
@@ -45,10 +44,8 @@ def _add(p, q):
     return [a + (q[i] if i < len(q) else 0) for i, a in enumerate(p)]
 
 
-def _compose_cubic(u):
-    """1/2 + 3/4 u - 1/4 u^3 for the polynomial ``u``."""
-    u3 = _mul(_mul(u, u), u)
-    return _add([_HALF], _add([Fraction(3, 4) * c for c in u], [-c / 4 for c in u3]))
+def _scaled(p, k):
+    return [k * c for c in p]
 
 
 def _integral(p, length):
@@ -65,13 +62,8 @@ class _Exact:
 
     def __init__(self, dist) -> None:
         self.kind = dist[0]
-        if self.kind == "epanechnikov":
-            mean, hw = Fraction(dist[1]), Fraction(dist[2])
-            self.lo, self.hi, self.mean, self.hw = mean - hw, mean + hw, mean, hw
-            self.kinks = [self.lo, self.hi]
-            return
         self.lo, self.hi = Fraction(dist[1]), Fraction(dist[2])
-        if self.kind == "uniform":
+        if self.kind != "histogram":
             self.kinks = [self.lo, self.hi]
             return
         weights = [Fraction(w) for w in dist[3]]
@@ -92,14 +84,14 @@ class _Exact:
             return [Fraction(0)], [Fraction(0)]
         if mid >= self.hi:
             return [Fraction(0)], [Fraction(1)]
-        if self.kind == "uniform":
+        if self.kind != "histogram":
             w = self.hi - self.lo
-            return [1 / w], [(a - self.lo) / w, 1 / w]
-        if self.kind == "epanechnikov":
-            u = [(a - self.mean) / self.hw, 1 / self.hw]
-            one_minus_u2 = _add([Fraction(1)], [-c for c in _mul(u, u)])
-            pdf = [Fraction(3, 4) / self.hw * c for c in one_minus_u2]
-            return pdf, _compose_cubic(u)
+            t = [(a - self.lo) / w, 1 / w]
+            if self.kind == "uniform":
+                return [1 / w], t
+            t2 = _mul(t, t)
+            pdf = _scaled(_add(t, _scaled(t2, -1)), 6 / w)
+            return pdf, _add(_scaled(t2, 3), _scaled(_mul(t2, t), -2))
         j = min(int((mid - self.lo) / self.binw), len(self.weights) - 1)
         slope = self.weights[j] / self.binw
         return [slope], [self.below[j] + slope * (a - self.kinks[j]), slope]

@@ -84,11 +84,9 @@ def distribution(kind, p):
 def exact_spec(d):
     """The floats the per-case closed form reads from ``d``."""
     lo, hi = d.support.lo, d.support.hi
-    if d.kind == "epanechnikov":
-        return ("epanechnikov", 0.5 * (lo + hi), 0.5 * (hi - lo))
     if d.kind == "histogram":
         return ("histogram", lo, hi, tuple(d.bin_weights))
-    return ("uniform", lo, hi)
+    return (d.kind, lo, hi)
 
 
 def exact_case(case):
@@ -135,8 +133,12 @@ def same_kind_field(kinds, params):
 
 
 def grid_spec(kind, p):
+    """The floats the grid kernel reads from one stencil position."""
     if kind == "histogram":
         return ("histogram", p[0], p[1], tuple(p[2]))
+    if kind == "epanechnikov":
+        # the field's (mean, halfwidth) as its support
+        return (kind, p[0] - p[1], p[0] + p[1])
     return (kind, *p)
 
 
@@ -187,3 +189,36 @@ def test_constant_histogram_far_from_the_origin():
     for ch, p, q in zip(("min", "max", "saddle"), got, want):
         assert abs(p - q) <= BOUND
         assert abs(prob.channel(ch)[1, 1] - p) <= BOUND
+
+
+def narrow_field(kind, offset, scale, shape=(10, 12)):
+    """A random field of one bounded kind, supports ``scale`` wide at ``offset``.
+
+    Starts and widths are random multiples of ``scale``, so neighboring
+    supports overlap; an Epanechnikov field stores (mean, halfwidth).
+    """
+    rng = np.random.default_rng(49)
+    lo = offset + scale * rng.uniform(0.0, 1.0, shape)
+    hi = lo + scale * rng.uniform(0.5, 1.5, shape)
+    if kind == "epanechnikov":
+        return UncertainField(ModelSpec(kind), {"mean": 0.5 * (lo + hi), "halfwidth": 0.5 * (hi - lo)})
+    if kind == "uniform":
+        return UncertainField(ModelSpec(kind), {"lo": lo, "hi": hi})
+    weights = rng.integers(0, 4, shape + (5,)).astype(float)
+    weights[..., 2] += 1.0
+    return UncertainField(ModelSpec(kind, bins=5), {"lo": lo, "hi": hi, "weights": weights})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("offset, scale", [(0.0, 1e-3), (1e3, 1e-3), (1e6, 1e-3), (1e8, 1e-4)])
+def test_grid_matches_its_cases_far_from_the_origin(kind, offset, scale):
+    # the grid and ``case_at`` read one support record, so a pixel agrees
+    # with its case to rounding wherever the field sits
+    field = narrow_field(kind, offset, scale)
+    prob = classify_field(field)
+    height, width = field.shape
+    for r in range(1, height - 1):
+        for c in range(1, width - 1):
+            got = closed_form_triple(case_at(field, r, c))
+            for ch, q in zip(("min", "max", "saddle"), got):
+                assert abs(prob.channel(ch)[r, c] - q) <= BOUND

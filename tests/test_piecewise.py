@@ -19,10 +19,7 @@ BOUND = 8 * np.finfo(float).eps
 
 
 def exact_spec(d):
-    lo, hi = d.support.lo, d.support.hi
-    if d.kind == "epanechnikov":
-        return ("epanechnikov", 0.5 * (lo + hi), 0.5 * (hi - lo))
-    return ("uniform", lo, hi)
+    return (d.kind, d.support.lo, d.support.hi)
 
 
 class TestEval:
