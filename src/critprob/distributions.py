@@ -5,9 +5,9 @@ Epanechnikov (quadratic bump) over a range, and histograms with
 equal-width bins.  Each evaluates its density and distribution function
 pointwise, on the closed support with tails 0 and 1; the closed-form
 critical-point integrals evaluate the same formulas on their own nodes
-(``engine._closed_chunk``).  Degenerate fits (all samples equal) are
-widened to a tiny positive width so that ties between point masses
-resolve continuously instead of producing zero-width supports.
+(``engine._closed_chunk``).  The module also holds the vectorized
+inverse-CDF sampling kernels, the one histogram table and the width
+given to zero-spread supports; fitting lives in ``fields``.
 
 ``GaussianSampler`` is an unbounded model used only for Monte Carlo
 comparisons; it has no closed form.
@@ -384,66 +384,3 @@ def epanechnikov(mean: float, halfwidth: float) -> FiniteDistribution:
 
 def histogram(lo: float, hi: float, weights) -> FiniteDistribution:
     return FiniteDistribution("histogram", Support(float(lo), float(hi)), weights)
-
-
-# -- fitted constructors ---------------------------------------------------
-
-def _as_samples(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float).reshape(-1)
-    if arr.size == 0:
-        raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples must be finite")
-    return arr
-
-
-def uniform_from_samples(samples, eps: float | None = None) -> FiniteDistribution:
-    """Range-fitted uniform; a degenerate range is widened by ``degenerate_width``."""
-    arr = _as_samples(samples)
-    lo, hi = float(arr.min()), float(arr.max())
-    if hi <= lo:
-        eps = default_epsilon(arr) if eps is None else eps
-        half = 0.5 * degenerate_width(lo, eps)
-        lo, hi = lo - half, lo + half
-    return uniform(lo, hi)
-
-
-def epanechnikov_from_samples(
-    samples, k: float = math.sqrt(5.0), eps: float | None = None
-) -> FiniteDistribution:
-    """Moment-fitted quadratic bump: mean +/- k * sample stddev.
-
-    The default k = sqrt(5) makes the fitted variance equal the sample
-    variance.  A zero-spread sample set is widened by ``degenerate_width``.
-    """
-    arr = _as_samples(samples)
-    if arr.size < 2:
-        raise ValueError("need at least two samples to estimate spread")
-    if not k > 0.0:
-        raise ValueError("k must be positive")
-    mean = float(arr.mean())
-    halfwidth = k * float(arr.std(ddof=1))
-    if halfwidth <= 0.0:
-        eps = default_epsilon(arr) if eps is None else eps
-        halfwidth = 0.5 * degenerate_width(mean, eps)
-    return epanechnikov(mean, halfwidth)
-
-
-def histogram_from_samples(samples, bins: int, eps: float | None = None) -> FiniteDistribution:
-    """Equal-width histogram over the sample range.
-
-    A sample equal to the top edge lands in the last bin.  All-equal
-    samples produce a single bin of weight 1, ``degenerate_width`` wide.
-    """
-    if not bins >= 1:
-        raise ValueError("bins must be at least 1")
-    arr = _as_samples(samples)
-    lo, hi = float(arr.min()), float(arr.max())
-    if hi <= lo:
-        eps = default_epsilon(arr) if eps is None else eps
-        half = 0.5 * degenerate_width(lo, eps)
-        return histogram(lo - half, lo + half, [1.0])
-    idx = np.floor((arr - lo) * (bins / (hi - lo))).astype(np.intp)
-    np.clip(idx, 0, bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=bins).astype(float)
-    return histogram(lo, hi, counts / arr.size)

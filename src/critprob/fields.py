@@ -5,7 +5,9 @@ width).  Fitting reduces it to one bounded distribution per pixel,
 stored as flat parameter arrays per model so grid-level math can run
 vectorized; ``dist_at`` materializes the distribution object for a
 single pixel from those same parameters, so case-level and grid-level
-code always see identical values.
+code always see identical values.  One fitter, ``_fit``, serves
+both: a single set of samples (``uniform_from_samples`` and its kin)
+is fitted as a one-pixel field.
 
 Fits never widen the whole stack to float64.  Ranges come from the
 float32 per-pixel minimum and maximum, which float64 holds exactly;
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distributions as dist
-from .distributions import FiniteDistribution, GaussianSampler, Support
+from .distributions import FiniteDistribution, GaussianSampler
 
 MODEL_KINDS = ("uniform", "epanechnikov", "histogram", "gaussian")
 CHANNELS = ("min", "max", "saddle")
@@ -158,6 +160,56 @@ class EnsembleStack:
         return EnsembleStack(rescaled), scale, offset
 
 
+def _fit(values: np.ndarray, model: ModelSpec, eps: float | None = None) -> dict[str, np.ndarray]:
+    """Parameter arrays of ``model`` fitted at every pixel of ``values``.
+
+    ``values`` is a (members, height, width) array of any float dtype.
+    ``eps`` is the degenerate-pixel widening; by default it is scaled
+    to the range of ``values``.
+    """
+    members = values.shape[0]
+    if members < 2 and model.kind in ("epanechnikov", "gaussian"):
+        raise ValueError(f"{model.kind} fit needs at least two members")
+    # float32 and float64 extremes are exact in float64
+    if model.kind in ("uniform", "histogram"):
+        lo = values.min(axis=0).astype(np.float64)
+        hi = values.max(axis=0).astype(np.float64)
+        if eps is None:
+            eps = dist.default_epsilon((lo.min(), hi.max()))
+        degenerate = _widen_degenerate(lo, hi, eps)
+        if model.kind == "uniform":
+            return {"lo": lo, "hi": hi}
+        h = model.bins
+        scale = h / (hi - lo)
+        weights = np.empty(lo.shape + (h,))
+        for rows, tile in _float64_tiles(values):
+            tile -= lo[rows]
+            tile *= scale[rows]
+            idx = np.floor(tile, out=tile).astype(np.intp)
+            np.clip(idx, 0, h - 1, out=idx)
+            # one count per (pixel, bin), all members in one pass
+            pixels = idx[0].size
+            idx += h * np.arange(pixels).reshape(idx.shape[1:])
+            counts = np.bincount(idx.ravel(), minlength=pixels * h)
+            weights[rows] = (counts / members).reshape(idx.shape[1:] + (h,))
+        # a constant pixel spreads its widened range evenly over the h bins
+        weights[degenerate] = 1.0 / h
+        return {"lo": lo, "hi": hi, "weights": weights}
+    if eps is None:
+        eps = dist.default_epsilon((values.min(), values.max()))
+    mean = np.empty(values.shape[1:])
+    std = np.empty(values.shape[1:])
+    for rows, tile in _float64_tiles(values):
+        mean[rows] = tile.mean(axis=0)
+        std[rows] = tile.std(axis=0, ddof=1)
+    if model.kind == "epanechnikov":
+        with np.errstate(over="ignore"):
+            halfwidth = np.maximum(model.k * std, 0.5 * dist.degenerate_width(mean, eps))
+            _require_finite_supports(mean - halfwidth, mean + halfwidth)
+        return {"mean": mean, "halfwidth": halfwidth}
+    return {"mean": mean, "stddev": std}
+
+
 class UncertainField:
     """One fitted distribution per pixel, stored as parameter arrays.
 
@@ -206,53 +258,13 @@ class UncertainField:
         Degenerate pixels (all members equal) are widened by an epsilon
         proportional to the global data range, and by at least
         ``distributions.DEGENERATE_ULPS`` ulps of their value, so every
-        support has positive width.  The per-case ``*_from_samples``
-        fitters use the same rule; a degenerate histogram pixel gets
-        equal bin weights, the uniform that the per-case fit's single
-        bin describes.  Raises ValueError when the value range overflows
-        float64, or an Epanechnikov support does (a large ``k``).
+        support has positive width; a degenerate histogram pixel gets
+        equal bin weights.  The per-case ``*_from_samples`` fitters are
+        one-pixel fits of this same fitter.  Raises ValueError when the
+        value range overflows float64, or an Epanechnikov support does
+        (a large ``k``).
         """
-        values = stack.values
-        members = values.shape[0]
-        if members < 2 and model.kind in ("epanechnikov", "gaussian"):
-            raise ValueError(f"{model.kind} fit needs at least two members")
-        # float32 extremes are exact in float64
-        if model.kind in ("uniform", "histogram"):
-            lo = values.min(axis=0).astype(np.float64)
-            hi = values.max(axis=0).astype(np.float64)
-            eps = dist.default_epsilon((lo.min(), hi.max()))
-            degenerate = _widen_degenerate(lo, hi, eps)
-            if model.kind == "uniform":
-                return cls(model, {"lo": lo, "hi": hi})
-            h = model.bins
-            scale = h / (hi - lo)
-            weights = np.empty(lo.shape + (h,))
-            for rows, tile in _float64_tiles(values):
-                tile -= lo[rows]
-                tile *= scale[rows]
-                idx = np.floor(tile, out=tile).astype(np.intp)
-                np.clip(idx, 0, h - 1, out=idx)
-                # one count per (pixel, bin), all members in one pass
-                pixels = idx[0].size
-                idx += h * np.arange(pixels).reshape(idx.shape[1:])
-                counts = np.bincount(idx.ravel(), minlength=pixels * h)
-                weights[rows] = (counts / members).reshape(idx.shape[1:] + (h,))
-            # the widened range of a constant pixel is the one bin of its
-            # per-case fit: equal weights spread that bin's uniform over h bins
-            weights[degenerate] = 1.0 / h
-            return cls(model, {"lo": lo, "hi": hi, "weights": weights})
-        eps = dist.default_epsilon((values.min(), values.max()))
-        mean = np.empty(values.shape[1:])
-        std = np.empty(values.shape[1:])
-        for rows, tile in _float64_tiles(values):
-            mean[rows] = tile.mean(axis=0)
-            std[rows] = tile.std(axis=0, ddof=1)
-        if model.kind == "epanechnikov":
-            with np.errstate(over="ignore"):
-                halfwidth = np.maximum(model.k * std, 0.5 * dist.degenerate_width(mean, eps))
-                _require_finite_supports(mean - halfwidth, mean + halfwidth)
-            return cls(model, {"mean": mean, "halfwidth": halfwidth})
-        return cls(model, {"mean": mean, "stddev": std})
+        return cls(model, _fit(stack.values, model))
 
     @classmethod
     def from_scalar(cls, values: np.ndarray, error_bound: float) -> "UncertainField":
@@ -280,6 +292,45 @@ class UncertainField:
             _widen_degenerate(lo, hi, eps)
         _require_finite_supports(lo, hi)
         return cls(ModelSpec("uniform"), {"lo": lo, "hi": hi})
+
+
+# -- per-case fits: one-pixel fields ------------------------------------
+
+def _fit_samples(samples, model: ModelSpec, eps: float | None) -> FiniteDistribution:
+    """The distribution ``_fit`` gives a one-pixel field of ``samples``."""
+    arr = np.asarray(samples, dtype=float).reshape(-1, 1, 1)
+    if arr.size == 0:
+        raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("samples must be finite")
+    return UncertainField(model, _fit(arr, model, eps)).dist_at(0, 0)
+
+
+def uniform_from_samples(samples, eps: float | None = None) -> FiniteDistribution:
+    """Range-fitted uniform; a degenerate range is widened by ``degenerate_width``."""
+    return _fit_samples(samples, ModelSpec("uniform"), eps)
+
+
+def epanechnikov_from_samples(
+    samples, k: float = math.sqrt(5.0), eps: float | None = None
+) -> FiniteDistribution:
+    """Moment-fitted quadratic bump: mean +/- k * sample stddev.
+
+    The default k = sqrt(5) makes the fitted variance equal the sample
+    variance.  The halfwidth is at least half ``degenerate_width``, so a
+    zero-spread sample set is widened.
+    """
+    return _fit_samples(samples, ModelSpec("epanechnikov", k=k), eps)
+
+
+def histogram_from_samples(samples, bins: int, eps: float | None = None) -> FiniteDistribution:
+    """Equal-width histogram over the sample range.
+
+    A sample equal to the top edge lands in the last bin.  All-equal
+    samples give equal weights over ``bins`` bins, ``degenerate_width``
+    wide.
+    """
+    return _fit_samples(samples, ModelSpec("histogram", bins=bins), eps)
 
 
 @dataclass

@@ -12,17 +12,22 @@ from critprob.distributions import (
     GaussianSampler,
     Support,
     default_epsilon,
+    degenerate_width,
     epanechnikov,
-    epanechnikov_from_samples,
     histogram,
     histogram_edges,
-    histogram_from_samples,
     histogram_icdf,
     histogram_table,
     uniform,
+)
+from critprob.fields import (
+    EnsembleStack,
+    ModelSpec,
+    UncertainField,
+    epanechnikov_from_samples,
+    histogram_from_samples,
     uniform_from_samples,
 )
-from critprob.fields import EnsembleStack, ModelSpec, UncertainField
 
 
 def bisect_icdf(dist: FiniteDistribution, q: float) -> float:
@@ -174,6 +179,15 @@ class TestConstructors:
         assert d.support.width > 0.0
         assert 0.5 * (d.support.lo + d.support.hi) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("value", [0.1, 0.7, 1.0 / 3.0, 2.2])
+    def test_epanechnikov_constant_samples_take_the_floor(self, value):
+        # the std of a constant float64 set rounds to 0 or to a few ulps
+        # depending on the count; either way the width is the floor
+        floor = degenerate_width(value, default_epsilon([value]))
+        for n in range(2, 51):
+            d = epanechnikov_from_samples([value] * n)
+            assert abs(d.support.width - floor) <= 4 * np.spacing(value), n
+
     def test_epanechnikov_k_must_be_positive(self):
         with pytest.raises(ValueError):
             epanechnikov_from_samples([0.0, 1.0], k=0.0)
@@ -198,9 +212,16 @@ class TestConstructors:
         assert h.cdf(xs) == pytest.approx(u.cdf(xs), abs=1e-14)
 
     def test_histogram_all_equal_samples(self):
+        # equal weights over the bins of the widened range, as a field pixel has
         d = histogram_from_samples([7.0, 7.0], 3)
-        assert d.bin_weights == pytest.approx([1.0])
-        assert d.support.width > 0.0
+        assert np.array_equal(d.bin_weights, np.full(3, 1.0 / 3.0))
+        half = 0.5 * degenerate_width(7.0, EPSILON_FLOOR)
+        lo, hi = d.support.lo, d.support.hi
+        assert (lo, hi) == (7.0 - half, 7.0 + half)
+        # the inner bin edges round to ulps of 7, about 1/1126 of the width
+        xs = np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 13)
+        tol = np.spacing(7.0) / (hi - lo)
+        assert d.cdf(xs) == pytest.approx(uniform(lo, hi).cdf(xs), abs=tol)
 
     @pytest.mark.parametrize("value", [1.0, -1.0, 1e4, -1e4, 1e8, -1e8])
     def test_constant_samples_widen_like_field_fit(self, value):
@@ -210,14 +231,14 @@ class TestConstructors:
         stack = EnsembleStack(np.full((5, 3, 3), value))
         fits = {
             "uniform": uniform_from_samples(samples),
+            "epanechnikov": epanechnikov_from_samples(samples),
             "histogram": histogram_from_samples(samples, 5),
         }
         for kind, d in fits.items():
             field = UncertainField.from_ensemble(stack, ModelSpec(kind=kind, bins=5))
             ref = field.dist_at(1, 1).support
             assert (d.support.lo, d.support.hi) == (ref.lo, ref.hi)
-        epa = epanechnikov_from_samples(samples)
-        assert epa.support.lo < value < epa.support.hi
+            assert d.support.lo < value < d.support.hi
 
     def test_histogram_zero_bins_error(self):
         with pytest.raises(ValueError):

@@ -8,19 +8,15 @@ import numpy as np
 import pytest
 
 from critprob import fields
-from critprob.distributions import (
-    GaussianSampler,
-    default_epsilon,
-    degenerate_width,
-    epanechnikov_from_samples,
-    histogram_from_samples,
-    uniform_from_samples,
-)
+from critprob.distributions import GaussianSampler, default_epsilon, degenerate_width
 from critprob.fields import (
     EnsembleStack,
     ModelSpec,
     ProbabilityField,
     UncertainField,
+    epanechnikov_from_samples,
+    histogram_from_samples,
+    uniform_from_samples,
 )
 
 
@@ -340,6 +336,7 @@ class TestDegenerateHistogram:
         ref = histogram_from_samples(values[:, 1, 1].astype(np.float64), bins, eps=eps)
         assert (d.support.lo, d.support.hi) == (ref.support.lo, ref.support.hi)
         assert np.array_equal(field.params["weights"][1, 1], np.full(bins, 1.0 / bins))
+        assert np.array_equal(d.bin_weights, ref.bin_weights)
         assert d.cdf(7.0) == pytest.approx(0.5, abs=1e-12)
         lo, hi = d.support.lo, d.support.hi
         for x in np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 23):
