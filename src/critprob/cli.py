@@ -138,6 +138,7 @@ def _run_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         print(f"normalized values with v' = {scale!r} * v + {offset!r}")
     model = ModelSpec(MODEL_FLAGS[args.model], bins=args.bins, k=args.k)
     field = UncertainField.from_ensemble(stack, model)
+    del stack  # the field holds no reference to the members; free them before classify
     prob = classify_field(field, estimator, workers=args.workers)
     _write_outputs(prob, args)
     return 0

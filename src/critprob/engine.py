@@ -91,15 +91,22 @@ combinatorial kernel takes blocks of (bin combination, pixel) stencils:
 a grid chunk's blocks hold a few combinations of all its pixels, and
 ``combinatorial_triple``'s hold many combinations of its one pixel.
 
-With more than one worker, every method's chunks run on one thread
-pool: each kernel is a run of vectorized numpy passes, which release
-the interpreter lock, and threads share the parameter arrays.
+A grid's chunks wait in one queue.  With more than one worker, every
+method's chunks run on one thread pool: each kernel is a run of
+vectorized numpy passes, which release the interpreter lock, and
+threads share the parameter arrays.  Each worker takes the next chunk
+off the queue and writes its channels straight into the output planes
+as it finishes, so no chunk's result outlives it, and what
+``classify_field`` holds besides its output is set by the chunk, not by
+the field.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -1059,6 +1066,24 @@ def _chunk_task(payload) -> dict[str, np.ndarray]:
     return _semi_chunk(samplers, px_idx, estimator.c, estimator.seed, channels)
 
 
+def _write_span(target: np.ndarray, start: int, values: np.ndarray) -> None:
+    """Write ``values`` over ``target``'s pixels in row-major order from
+    flat index ``start``: a partial first row, the whole rows as one
+    block, and a partial last row."""
+    width = target.shape[1]
+    row, col = divmod(start, width)
+    if col:
+        head = values[: width - col]
+        target[row, col : col + head.size] = head
+        values = values[head.size :]
+        row += 1
+    whole = values.size // width
+    if whole:
+        target[row : row + whole] = values[: whole * width].reshape(whole, width)
+    if values.size > whole * width:
+        target[row + whole, : values.size - whole * width] = values[whole * width :]
+
+
 def classify_field(
     field: UncertainField,
     estimator: EstimatorSpec | None = None,
@@ -1069,13 +1094,16 @@ def classify_field(
 
     The one-pixel border is marked invalid.  Work is split into one
     pixel chunk per worker (whole interior rows for Monte Carlo; the
-    closed form and combinatorial chunks are smaller still), and with
-    ``workers`` above 1 the chunks of every method run on one thread
-    pool.  Per-pixel math never crosses chunk boundaries, and sample
-    streams are keyed by pixel index, so the output is identical for any
-    ``workers`` value or chunk layout.  Raises ValueError if any
-    requested channel has a non-finite interior value, as it does when a
-    field's supports overflow float64.
+    closed form and combinatorial chunks are smaller still), pulled from
+    one queue, and with ``workers`` above 1 the chunks of every method
+    run on one thread pool.  Each chunk's channels are written into the
+    output planes as it finishes, so no result list is kept.  An error
+    in a chunk is raised once every pool thread has joined.  Per-pixel
+    math never crosses chunk boundaries, and sample streams are keyed by
+    pixel index, so the output is identical for any ``workers`` value or
+    chunk layout.  Raises ValueError if any requested channel has a
+    non-finite interior value, as it does when a field's supports
+    overflow float64.
     """
     estimator = estimator or EstimatorSpec()
     if isinstance(channels, str):
@@ -1120,31 +1148,61 @@ def classify_field(
         elif method == "closed_form":
             # sized by the plane budget; see CLOSED_PLANE
             chunk = min(chunk, closed_chunk_pixels(field.model))
-    spans = [(start, min(start + chunk, npix)) for start in range(0, npix, chunk)]
-
-    def payload(start: int, stop: int):
-        top = start // inner  # the row above the chunk's first pixel
-        bottom = (stop - 1) // inner + 3  # past the row below its last
-        band = {name: arr[top:bottom] for name, arr in field.params.items()}
-        flat = np.arange(start, stop)
-        centers = (flat // inner + 1 - top) * width + flat % inner + 1
-        return method, kind, band, top * width, centers, estimator, channels
-
-    # built as the chunks run: a band is a view of the field's rows
-    payloads = (payload(start, stop) for start, stop in spans)
-    if workers == 1 or len(spans) == 1:
-        results = [_chunk_task(p) for p in payloads]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_task, payloads))
-
     out = ProbabilityField.empty(height, width)
     out.valid[1:-1, 1:-1] = True
-    targets = {"min": out.p_min, "max": out.p_max, "saddle": out.p_saddle}
-    for ch in channels:
-        flat = np.concatenate([r[ch] for r in results])
-        bad = np.count_nonzero(~np.isfinite(flat))
-        if bad:
-            raise ValueError(f"{bad} interior p_{ch} values are not finite")
-        targets[ch][1:-1, 1:-1] = flat.reshape(height - 2, width - 2)
+    targets = [out.channel(ch)[1:-1, 1:-1] for ch in channels]
+    # one queue of chunk starts, shared by every worker
+    starts = iter(range(0, npix, chunk))
+    lock = threading.Lock()
+
+    def drain() -> None:
+        """Run chunks off the queue until it is empty, writing each into
+        the output as it finishes."""
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            stop = min(start + chunk, npix)
+            top = start // inner  # the row above the chunk's first pixel
+            bottom = (stop - 1) // inner + 3  # past the row below its last
+            band = {name: arr[top:bottom] for name, arr in field.params.items()}
+            flat = np.arange(start, stop)
+            # interior pixel r sits at r + 2 * (r // inner) past the band's
+            # first interior pixel: each row above adds two border pixels
+            centers = flat // inner
+            centers *= 2
+            centers += flat
+            centers += (1 - top) * width + 1
+            try:
+                result = _chunk_task((method, kind, band, top * width, centers, estimator, channels))
+            except BaseException:
+                with lock:  # the other workers stop at their next chunk
+                    for _ in starts:
+                        pass
+                raise
+            for ch, target in zip(channels, targets):
+                _write_span(target, start, result[ch])
+
+    tasks = min(workers, math.ceil(npix / chunk))
+    if tasks == 1:
+        drain()
+    else:
+        with ThreadPoolExecutor(max_workers=tasks) as pool:
+            # each thread runs in a copy of the caller's context, so the
+            # caller's np.errstate holds in it as on one worker
+            futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(tasks)]
+        # the pool's threads have joined; a chunk's error is raised here
+        for f in futures:
+            f.result()
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = [target.sum() for target in targets]
+    for ch, target, total in zip(channels, targets, totals):
+        # the sum is finite when every value is, unless the values are
+        # huge; only then are they counted, so the common case needs no
+        # field-sized scratch
+        if not math.isfinite(total):
+            bad = target.size - np.count_nonzero(np.isfinite(target))
+            if bad:
+                raise ValueError(f"{bad} interior p_{ch} values are not finite")
     return out

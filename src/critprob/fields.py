@@ -165,7 +165,8 @@ def _fit(values: np.ndarray, model: ModelSpec, eps: float | None = None) -> dict
 
     ``values`` is a (members, height, width) array of any float dtype.
     ``eps`` is the degenerate-pixel widening; by default it is scaled
-    to the range of ``values``.
+    to the range of ``values``.  A range that overflows float64 raises
+    ValueError whether or not ``eps`` is given.
     """
     members = values.shape[0]
     if members < 2 and model.kind in ("epanechnikov", "gaussian"):
@@ -174,8 +175,8 @@ def _fit(values: np.ndarray, model: ModelSpec, eps: float | None = None) -> dict
     if model.kind in ("uniform", "histogram"):
         lo = values.min(axis=0).astype(np.float64)
         hi = values.max(axis=0).astype(np.float64)
-        if eps is None:
-            eps = dist.default_epsilon((lo.min(), hi.max()))
+        scaled = dist.default_epsilon((lo.min(), hi.max()))
+        eps = scaled if eps is None else eps
         degenerate = _widen_degenerate(lo, hi, eps)
         if model.kind == "uniform":
             return {"lo": lo, "hi": hi}
@@ -195,8 +196,8 @@ def _fit(values: np.ndarray, model: ModelSpec, eps: float | None = None) -> dict
         # a constant pixel spreads its widened range evenly over the h bins
         weights[degenerate] = 1.0 / h
         return {"lo": lo, "hi": hi, "weights": weights}
-    if eps is None:
-        eps = dist.default_epsilon((values.min(), values.max()))
+    scaled = dist.default_epsilon((values.min(), values.max()))
+    eps = scaled if eps is None else eps
     mean = np.empty(values.shape[1:])
     std = np.empty(values.shape[1:])
     for rows, tile in _float64_tiles(values):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import multiprocessing.process
+import sys
 import threading
 import tracemalloc
 
@@ -1091,7 +1092,7 @@ class TestClassifyField:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20
 
-    def test_non_finite_output_raises(self):
+    def test_non_finite_output_raises(self, monkeypatch):
         # the bands of a +/-1e308 raster with a 1e308 error bound; the
         # fitters refuse them, so the field is built directly
         values = np.full((5, 5), 1e308)
@@ -1099,8 +1100,79 @@ class TestClassifyField:
         with np.errstate(over="ignore", invalid="ignore"):
             lo, hi = values - 0.5e308, values + 0.5e308
             field = UncertainField(ModelSpec("uniform"), {"lo": lo, "hi": hi})
-            with pytest.raises(ValueError, match="not finite"):
+            with pytest.raises(ValueError, match="not finite") as default:
                 classify_field(field)
+            # one pixel per chunk: the count is summed over the chunks, so
+            # the message is the same on any worker count
+            monkeypatch.setattr(engine, "CLOSED_PLANE", 9)
+            assert engine.closed_chunk_pixels(field.model) == 1
+            for workers in (1, 3):
+                with pytest.raises(ValueError) as err:
+                    classify_field(field, workers=workers)
+                assert str(err.value) == str(default.value)
+
+    def test_chunk_error_propagates_after_the_pool_joins(self, monkeypatch):
+        # 5 x 6 = 30 interior pixels in chunks of 4: eight chunks on one
+        # queue, the third of which fails
+        field = small_field("uniform", seed=5)
+        monkeypatch.setattr(engine, "CLOSED_PLANE", 4 * 9)
+        assert math.ceil(30 / engine.closed_chunk_pixels(field.model)) >= 6
+        calls = itertools.count(1)
+        chunk_task = engine._chunk_task
+
+        def third_fails(payload):
+            if next(calls) == 3:
+                raise RuntimeError("third chunk failed")
+            return chunk_task(payload)
+
+        monkeypatch.setattr(engine, "_chunk_task", third_fails)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="third chunk failed"):
+            classify_field(field, workers=3)
+        assert threading.active_count() == threads
+
+    def test_chunk_queue_runs_every_chunk_once(self, monkeypatch):
+        # 30 one-pixel chunks on more workers than cores, switching threads
+        # as often as the interpreter allows: a start taken twice or lost
+        # shows in the calls or in the output
+        field = small_field("histogram", seed=6, bins=3)
+        want = classify_field(field)
+        monkeypatch.setattr(engine, "CLOSED_PLANE", 5 * 4 - 1)
+        assert engine.closed_chunk_pixels(field.model) == 1
+        origins = []
+        chunk_task = engine._chunk_task
+
+        def recorded(payload):
+            origins.append(payload[3] + int(payload[4][0]))
+            return chunk_task(payload)
+
+        monkeypatch.setattr(engine, "_chunk_task", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = classify_field(field, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        rows, cols = np.indices((5, 6)) + 1
+        assert sorted(origins) == sorted((rows * 8 + cols).ravel().tolist())
+        for ch in CHANNELS:
+            assert np.array_equal(got.channel(ch), want.channel(ch))
+
+    # measured 1.3 MiB on one worker and 2.5 MiB on two; a result list
+    # and per-channel concatenation took 10.1 MiB on either
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_classify_memory_beyond_the_output_is_set_by_the_chunk(self, workers):
+        y, x = np.mgrid[0:512, 0:512]
+        field = UncertainField.from_scalar(np.sin(x / 7.0) * np.cos(y / 5.0), 0.1)
+        classify_field(field, workers=workers)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            prob = classify_field(field, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(a.nbytes for a in (prob.p_min, prob.p_max, prob.p_saddle, prob.valid))
+        assert peak - output < 4 * 2**20
 
     def test_zero_width_support_raises(self):
         # the fitters widen degenerate pixels, so the field is built

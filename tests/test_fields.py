@@ -172,6 +172,19 @@ class TestFromEnsemble:
             with pytest.raises(ValueError, match="overflow float64"):
                 UncertainField.from_ensemble(wide, ModelSpec(kind="epanechnikov", k=1e300))
 
+    def test_overflowing_sample_range_rejected_with_eps(self):
+        # the range check of default_epsilon runs when eps is given too
+        fits = (
+            lambda s: uniform_from_samples(s, eps=1e-12),
+            lambda s: histogram_from_samples(s, 3, eps=1e-12),
+            lambda s: epanechnikov_from_samples(s, eps=1e-12),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fit in fits:
+                with pytest.raises(ValueError, match="value range .* overflows float64"):
+                    fit([-1e308, 1e308])
+
 
 def whole_stack_fit(values, model: ModelSpec) -> dict:
     """The fit as one pass over a float64 copy of the whole stack."""
