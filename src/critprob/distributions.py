@@ -289,9 +289,13 @@ class FiniteDistribution:
             if self.kind == "epanechnikov":
                 out = out * out * (3.0 - 2.0 * out)
         else:
-            table = histogram_table(np.array([lo]), np.array([hi]), self.bin_weights[None, :])
+            # centered on the support, where the edges of a narrow one far
+            # from the origin keep their precision; halves cannot overflow
+            m = 0.5 * lo + 0.5 * hi
+            shifted = np.array([lo - m]), np.array([hi - m])
+            table = histogram_table(*shifted, self.bin_weights[None, :])
             out = np.empty((1, arr.size))
-            histogram_cdf_values(*table, arr.reshape(1, -1), out)
+            histogram_cdf_values(*table, (arr - m).reshape(1, -1), out)
             out = out.reshape(arr.shape)
         out = np.where(arr < lo, 0.0, np.where(arr > hi, 1.0, out))
         return float(out) if arr.ndim == 0 else out

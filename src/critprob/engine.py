@@ -41,13 +41,13 @@ workspace, and every channel, a different product of the same rows,
 adds its node term to its own row.  Each channel's sums are then scattered back into a zeroed
 (pixels, intervals) plane and each pixel's row is summed, so a pixel
 sees the same values in the same order as if every interval had been
-evaluated, and the result is the same to the bit.  A chunk holds
-``CLOSED_PLANE // intervals`` pixels (9 intervals for uniform and
-Epanechnikov stencils, ``5 * (bins + 1) - 1`` for histograms), so a
-plane has about ``CLOSED_PLANE`` elements and the kernel's working set
-stays in cache whatever the field size or model.  Per-pixel work never
-depends on how pixels are chunked, so results are identical for any
-worker count or plane budget.
+evaluated, and the result is the same to the bit.  A closed-form block
+holds at most ``CLOSED_PLANE // intervals`` pixels (9 intervals for
+uniform and Epanechnikov stencils, ``5 * (bins + 1) - 1`` for
+histograms), so a plane has at most about ``CLOSED_PLANE`` elements and
+the kernel's working set stays in cache whatever the field size or
+model.  Per-pixel work never depends on how pixels are split into
+blocks, so results are identical for any worker count or plane budget.
 
 Monte Carlo draws one realization of the field per sample: pixel p's
 value at sample i is counter i of p's own streams (one plane, two for a
@@ -55,7 +55,7 @@ Gaussian), made once and read by each of the up to five stencils that
 hold p.  Every stencil still sees five independent draws from its five
 distributions, so each pixel's estimate keeps its Binomial(n, p) / n
 law, but the estimates of neighboring pixels are correlated.  The
-kernel counts the stencils of a block of rows.  A grid chunk is whole
+kernel counts the stencils of a block of rows.  A grid block is whole
 interior rows plus the row above and below; a tile of stencil rows
 draws its rows and one more above and below into one (rows, width,
 draws) buffer per block of ``GRID_DRAWS`` stencil draws.  Two adjacent
@@ -63,11 +63,11 @@ pixels are compared once per block, over shifted slices of that
 buffer, and both stencils that hold the pair read the result; each
 channel then joins a stencil's east/west flags with its north/south
 flags, as the closed form multiplies its ``ew`` and ``ns`` factors.
-The semianalytical estimator walks each chunk in tiles of
+The semianalytical estimator walks each block in tiles of
 ``max(1, TILE_DRAWS // c)`` pixels for ``c`` center draws per pixel.
 Every tile fills the same buffers in place (counter-based uniform
 draws, the inverse-CDF transform, the comparison flags), so memory is
-set by the tile, not by the chunk or the draw count, and stays in
+set by the tile, not by the block or the draw count, and stays in
 cache.  Draws are keyed by pixel and counts are integers, so tiles
 change no result.
 
@@ -87,18 +87,23 @@ center and the four edge cells of a 3 x 3 block, in blocks of
 2-neighbor case copies its east and north draws to the west and south.
 So a grid pixel, whose neighbors draw from their own streams, differs from the Monte Carlo estimate of its case;
 ``semianalytical_prob`` gives its grid pixel's value bit for bit.  The
-combinatorial kernel takes blocks of (bin combination, pixel) stencils:
-a grid chunk's blocks hold a few combinations of all its pixels, and
+combinatorial kernel takes steps of (bin combination, pixel) stencils:
+a grid block's steps hold a few combinations of all its pixels, and
 ``combinatorial_triple``'s hold many combinations of its one pixel.
 
-A grid's chunks wait in one queue.  With more than one worker, every
-method's chunks run on one thread pool: each kernel is a run of
-vectorized numpy passes, which release the interpreter lock, and
-threads share the parameter arrays.  Each worker takes the next chunk
-off the queue and writes its channels straight into the output planes
-as it finishes, so no chunk's result outlives it, and what
-``classify_field`` holds besides its output is set by the chunk, not by
-the field.
+``classify_field`` works on blocks: rectangles of interior pixels, each
+read with the one-pixel halo of its stencils as one 2-D slice of the
+parameter planes.  A block is whole interior rows, as many as its
+method's pixel budget holds, or part of one row when a row holds more.
+Each stencil position is a shifted slice of the band, and each channel
+is written back with one slice assignment.  The blocks wait in one
+queue.  With more than one worker, every method's blocks run on one
+thread pool: each kernel is a run of vectorized numpy passes, which
+release the interpreter lock, and threads share the parameter arrays.
+Each worker takes the next block off the queue and writes its channels
+straight into the output planes as it finishes, so no block's result
+outlives it, and what ``classify_field`` holds besides its output is
+set by the block, not by the field.
 """
 
 from __future__ import annotations
@@ -533,16 +538,15 @@ def _support_params(kind: str, p: dict[str, np.ndarray]) -> dict[str, np.ndarray
 
 
 def _band_params(kind: str, band: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A band of whole field rows as flat per-pixel support records.
+    """A 2-D band of field pixels as per-pixel support records.
 
     Histogram weights are normalized here, as ``FiniteDistribution``
     does; the kernels' histogram tables use the weights as given.
     """
-    flat = {name: arr.reshape((-1,) + arr.shape[2:]) for name, arr in band.items()}
-    if "weights" in flat:
-        w = flat["weights"]
-        flat["weights"] = w / w.sum(axis=-1, keepdims=True)
-    return _support_params(kind, flat)
+    if "weights" in band:
+        w = band["weights"]
+        band = {**band, "weights": w / w.sum(axis=-1, keepdims=True)}
+    return _support_params(kind, band)
 
 
 def _centered(p, origin):
@@ -636,7 +640,7 @@ CLOSED_PLANE = 9216
 
 
 def closed_chunk_pixels(model) -> int:
-    """Pixels per closed-form chunk: as many as fit one plane of ``CLOSED_PLANE``.
+    """Pixels per closed-form block: as many as fit one plane of ``CLOSED_PLANE``.
 
     A stencil has 10 kinks (two support ends at five positions), or
     ``5 * (bins + 1)`` bin edges for histograms, so one fewer interval.
@@ -653,7 +657,7 @@ def _closed_chunk(groups, channels) -> dict[str, np.ndarray]:
     then east, north, west and south, or east and north alone) and the
     support record of those positions: ``lo`` and ``hi``, each
     (len(positions), pixels), and for histograms the (len(positions),
-    pixels, bins) ``weights``.  A grid chunk is one group of all five
+    pixels, bins) ``weights``.  A grid block is one group of all five
     positions; a single case has a group for each kind and bin count
     among its distributions.  Every kink is clipped to the center's
     support and sorted once; the center density and the neighbor CDFs
@@ -1032,56 +1036,42 @@ def _semi_chunk(samplers, px_idx, c, seed, channels) -> dict[str, np.ndarray]:
     return out
 
 
-def _chunk_task(payload) -> dict[str, np.ndarray]:
-    """One chunk of ``classify_field``: its pixels and the rows around them.
+def _chunk_task(method, kind, band, origin, width, estimator, channels) -> dict[str, np.ndarray]:
+    """One block of ``classify_field``: a rectangle of interior pixels.
 
-    ``band`` holds whole field rows, from the row above the chunk's first
-    pixel to the row below its last; ``origin`` is the flat field index
-    of the band's first pixel, and ``centers`` the band indices of the
-    chunk's pixels.  Monte Carlo draws every pixel of the band once per
-    sample; the other methods gather each stencil position's parameters
-    for the chunk's pixels, so their copies scale with the chunk.
+    ``band`` holds the field's (rows, cols[, bins]) parameters of the
+    block and the one-pixel halo around it; ``origin`` is the flat field
+    index of the band's first pixel and ``width`` the field's width, so
+    band pixel (i, j) is field pixel ``origin + width * i + j``, the key
+    of its sample streams.  Monte Carlo draws every pixel of the band
+    once per sample; the other methods take each stencil position as a
+    shifted slice of the band, so their copies scale with the block.
+    Results are the block's pixels in row-major order.
     """
-    method, kind, band, origin, centers, estimator, channels = payload
-    rows, width = next(iter(band.values())).shape[:2]
+    rows, cols = next(iter(band.values())).shape[:2]
     params = _band_params(kind, band)
+    pixels = origin + width * np.arange(rows)[:, None] + np.arange(cols)
     if method == "monte_carlo":
-        # the chunk's pixels are every interior pixel of the band's inner rows
-        per, kernel, columns = _sampler(kind, params)
-        pixels = origin + np.arange(rows * width)
+        # the block's pixels are every interior pixel of the band
+        by_pixel = {name: a.reshape((-1,) + a.shape[2:]) for name, a in params.items()}
+        per, kernel, columns = _sampler(kind, by_pixel)
         keys = rngstream.stream_keys(estimator.seed, pixels, per)
         return _mc_chunk(
-            [(0, keys, kernel, columns)], rows, width, estimator.n_samples, channels, GRID_DRAWS
+            [(0, keys, kernel, columns)], rows, cols, estimator.n_samples, channels, GRID_DRAWS
         )
-    # center, east, north, west, south
-    stencils = centers + np.array([0, 1, -width, -1, width])[:, None]
-    stacked = {name: arr[stencils] for name, arr in params.items()}
+    # center, east, north, west, south, as (5, pixels[, bins])
+    stacked = {
+        name: np.stack([a[1:-1, 1:-1], a[1:-1, 2:], a[:-2, 1:-1], a[1:-1, :-2], a[2:, 1:-1]])
+        for name, a in params.items()
+    }
+    stacked = {name: a.reshape((5, -1) + a.shape[3:]) for name, a in stacked.items()}
     if method == "closed_form":
         return _closed_chunk([(kind, range(5), stacked)], channels)
     pos = [{name: arr[i] for name, arr in stacked.items()} for i in range(5)]
     samplers = [_sampler(kind, p) for p in pos]
     if method == "combinatorial":
         return _comb_chunk(samplers, channels)
-    px_idx = (origin + centers).astype(np.uint64)
-    return _semi_chunk(samplers, px_idx, estimator.c, estimator.seed, channels)
-
-
-def _write_span(target: np.ndarray, start: int, values: np.ndarray) -> None:
-    """Write ``values`` over ``target``'s pixels in row-major order from
-    flat index ``start``: a partial first row, the whole rows as one
-    block, and a partial last row."""
-    width = target.shape[1]
-    row, col = divmod(start, width)
-    if col:
-        head = values[: width - col]
-        target[row, col : col + head.size] = head
-        values = values[head.size :]
-        row += 1
-    whole = values.size // width
-    if whole:
-        target[row : row + whole] = values[: whole * width].reshape(whole, width)
-    if values.size > whole * width:
-        target[row + whole, : values.size - whole * width] = values[whole * width :]
+    return _semi_chunk(samplers, pixels[1:-1, 1:-1], estimator.c, estimator.seed, channels)
 
 
 def classify_field(
@@ -1092,18 +1082,18 @@ def classify_field(
 ) -> ProbabilityField:
     """Per-pixel critical-point probabilities over the interior pixels.
 
-    The one-pixel border is marked invalid.  Work is split into one
-    pixel chunk per worker (whole interior rows for Monte Carlo; the
-    closed form and combinatorial chunks are smaller still), pulled from
-    one queue, and with ``workers`` above 1 the chunks of every method
-    run on one thread pool.  Each chunk's channels are written into the
-    output planes as it finishes, so no result list is kept.  An error
-    in a chunk is raised once every pool thread has joined.  Per-pixel
-    math never crosses chunk boundaries, and sample streams are keyed by
-    pixel index, so the output is identical for any ``workers`` value or
-    chunk layout.  Raises ValueError if any requested channel has a
-    non-finite interior value, as it does when a field's supports
-    overflow float64.
+    The one-pixel border is marked invalid.  Work is split into blocks
+    of whole interior rows, one block per worker (the closed form and
+    combinatorial blocks are smaller still, and a row wider than their
+    budget is split), pulled from one queue, and with ``workers`` above
+    1 the blocks of every method run on one thread pool.  Each block's
+    channels are written into the output planes as it finishes, so no
+    result list is kept.  An error in a block is raised once every pool
+    thread has joined.  Per-pixel math never crosses block boundaries,
+    and sample streams are keyed by pixel index, so the output is
+    identical for any ``workers`` value or block layout.  Raises
+    ValueError if any requested channel has a non-finite interior value,
+    as it does when a field's supports overflow float64.
     """
     estimator = estimator or EstimatorSpec()
     if isinstance(channels, str):
@@ -1135,56 +1125,51 @@ def classify_field(
         if zero:
             raise ValueError(f"{zero} interior supports have zero or negative width")
 
-    inner = width - 2
-    npix = (height - 2) * inner
-    if method == "monte_carlo":
-        # whole interior rows: each chunk draws the rows above and below
-        # it as well, so chunks are as few as the workers allow
-        chunk = inner * math.ceil((height - 2) / workers)
-    else:
-        chunk = math.ceil(npix / workers)
-        if method == "combinatorial":
-            chunk = min(chunk, 512)
-        elif method == "closed_form":
-            # sized by the plane budget; see CLOSED_PLANE
-            chunk = min(chunk, closed_chunk_pixels(field.model))
+    rows, inner = height - 2, width - 2
+    # pixels per block: a worker's share of whole interior rows, which
+    # Monte Carlo and semianalytical take as it is
+    budget = inner * math.ceil(rows / workers)
+    if method == "combinatorial":
+        budget = min(budget, 512)
+    elif method == "closed_form":
+        # sized by the plane budget; see CLOSED_PLANE
+        budget = min(budget, closed_chunk_pixels(field.model))
+    # whole rows, or the budget's pixels of one row when a row holds more
+    block_rows, block_cols = max(1, budget // inner), min(budget, inner)
     out = ProbabilityField.empty(height, width)
     out.valid[1:-1, 1:-1] = True
     targets = [out.channel(ch)[1:-1, 1:-1] for ch in channels]
-    # one queue of chunk starts, shared by every worker
-    starts = iter(range(0, npix, chunk))
+    # one queue of block corners in the interior, shared by every worker
+    corners = itertools.product(range(0, rows, block_rows), range(0, inner, block_cols))
     lock = threading.Lock()
 
     def drain() -> None:
-        """Run chunks off the queue until it is empty, writing each into
+        """Run blocks off the queue until it is empty, writing each into
         the output as it finishes."""
         while True:
             with lock:
-                start = next(starts, None)
-            if start is None:
+                corner = next(corners, None)
+            if corner is None:
                 return
-            stop = min(start + chunk, npix)
-            top = start // inner  # the row above the chunk's first pixel
-            bottom = (stop - 1) // inner + 3  # past the row below its last
-            band = {name: arr[top:bottom] for name, arr in field.params.items()}
-            flat = np.arange(start, stop)
-            # interior pixel r sits at r + 2 * (r // inner) past the band's
-            # first interior pixel: each row above adds two border pixels
-            centers = flat // inner
-            centers *= 2
-            centers += flat
-            centers += (1 - top) * width + 1
+            top, left = corner
+            bottom, right = min(top + block_rows, rows), min(left + block_cols, inner)
+            # the block's field rows and columns with the halo around them
+            band = {
+                name: arr[top : bottom + 2, left : right + 2] for name, arr in field.params.items()
+            }
             try:
-                result = _chunk_task((method, kind, band, top * width, centers, estimator, channels))
+                result = _chunk_task(
+                    method, kind, band, top * width + left, width, estimator, channels
+                )
             except BaseException:
-                with lock:  # the other workers stop at their next chunk
-                    for _ in starts:
+                with lock:  # the other workers stop at their next block
+                    for _ in corners:
                         pass
                 raise
             for ch, target in zip(channels, targets):
-                _write_span(target, start, result[ch])
+                target[top:bottom, left:right] = result[ch].reshape(bottom - top, right - left)
 
-    tasks = min(workers, math.ceil(npix / chunk))
+    tasks = min(workers, math.ceil(rows / block_rows) * math.ceil(inner / block_cols))
     if tasks == 1:
         drain()
     else:
@@ -1192,7 +1177,7 @@ def classify_field(
             # each thread runs in a copy of the caller's context, so the
             # caller's np.errstate holds in it as on one worker
             futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(tasks)]
-        # the pool's threads have joined; a chunk's error is raised here
+        # the pool's threads have joined; a block's error is raised here
         for f in futures:
             f.result()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -200,9 +200,11 @@ def _fit(values: np.ndarray, model: ModelSpec, eps: float | None = None) -> dict
     eps = scaled if eps is None else eps
     mean = np.empty(values.shape[1:])
     std = np.empty(values.shape[1:])
-    for rows, tile in _float64_tiles(values):
-        mean[rows] = tile.mean(axis=0)
-        std[rows] = tile.std(axis=0, ddof=1)
+    # squares of a finite range may overflow; the checks below refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, tile in _float64_tiles(values):
+            mean[rows] = tile.mean(axis=0)
+            std[rows] = tile.std(axis=0, ddof=1)
     if model.kind == "epanechnikov":
         with np.errstate(over="ignore"):
             halfwidth = np.maximum(model.k * std, 0.5 * dist.degenerate_width(mean, eps))

@@ -801,8 +801,8 @@ class TestClassifyField:
     def test_closed_form_matches_per_case_calls(self):
         rng = np.random.default_rng(3)
         # 38 x 28 = 1064 interior pixels span two or more closed-form
-        # chunks and end in a partial one; the pixels on either side of
-        # every chunk edge are checked
+        # blocks of whole rows and end in a partial one; the pixels on
+        # either side of every block edge are checked
         base = 10.0 + rng.uniform(-1.0, 1.0, (30, 40))
         two_chunks = EnsembleStack(base + rng.uniform(-0.3, 0.3, (16, 30, 40)))
         for kind in ("uniform", "epanechnikov", "histogram"):
@@ -814,8 +814,10 @@ class TestClassifyField:
             big = UncertainField.from_ensemble(two_chunks, ModelSpec(kind=kind, bins=5))
             chunk = engine.closed_chunk_pixels(big.model)
             assert 1064 > chunk and 1064 % chunk != 0
-            edges = [k for start in range(chunk, 1064, chunk) for k in (start - 1, start)]
-            boundary = [(1 + k // 38, 1 + k % 38) for k in (0, *edges, 1063)]
+            rows = chunk // 38
+            assert 28 > rows and 28 % rows != 0
+            edges = [r for start in range(rows, 28, rows) for r in (start - 1, start)]
+            boundary = [(1 + r, c) for r in (0, *edges, 27) for c in (1, 38)]
             for fld, where in ((field, pixels), (big, boundary)):
                 prob = classify_field(fld)
                 for r, c in where:
@@ -964,8 +966,8 @@ class TestClassifyField:
             assert np.array_equal(one.valid, two.valid)
 
     def test_closed_form_workers_use_no_process_pool(self, monkeypatch):
-        # 58 x 58 = 3364 interior pixels: several full closed-form chunks
-        # and a partial tail
+        # 58 x 58 = 3364 interior pixels: several closed-form blocks of
+        # whole rows and a partial tail
         runs = []
         for kind in ("uniform", "epanechnikov", "histogram"):
             field = small_field(kind, seed=13, shape=(60, 60), bins=5)
@@ -988,21 +990,39 @@ class TestClassifyField:
         assert_same_on_threads(monkeypatch, runs)
 
     def test_every_method_runs_on_threads(self, monkeypatch):
-        # 10 x 11 = 110 interior pixels: semianalytical tiles of 13 pixels
-        # that end in a partial one on every worker count, and
-        # combinatorial blocks of 37, 74 and 110 of the 243 bin
-        # combinations on 1, 2 and 3 workers, each ending in a partial one
+        # 10 interior rows of 11 pixels, in blocks of 10 rows on 1 worker,
+        # 5 + 5 on 2 and 4 + 4 + 2 on 3: semianalytical tiles of 13 pixels
+        # that end in a partial one in every block, and combinatorial
+        # steps of 37, 74, 93 and 186 of the 243 bin combinations for
+        # blocks of 10, 5, 4 and 2 rows, each ending in a partial one
         hist = small_field("histogram", seed=17, shape=(12, 13), bins=3)
         semi = EstimatorSpec(method="semianalytical", c=2500, seed=4)
         assert engine.TILE_DRAWS // semi.c == 13
-        assert [engine.COMB_STENCILS // math.ceil(110 / w) for w in (1, 2, 3)] == [37, 74, 110]
+        assert [math.ceil(10 / w) for w in (1, 2, 3)] == [10, 5, 4]
+        assert [engine.COMB_STENCILS // (11 * r) for r in (10, 5, 4, 2)] == [37, 74, 93, 186]
         assert_same_on_threads(
             monkeypatch, [(hist, semi), (hist, EstimatorSpec(method="combinatorial"))]
         )
 
+    def test_combinatorial_splits_rows_wider_than_its_budget(self):
+        # 2 interior rows of 518 pixels: the 512-pixel budget takes each
+        # row as blocks of 512 + 6, whose edge falls between field
+        # columns 512 and 513
+        field = small_field("histogram", seed=19, shape=(4, 520), bins=2)
+        est = EstimatorSpec(method="combinatorial")
+        one = classify_field(field, est, workers=1)
+        three = classify_field(field, est, workers=3)
+        for ch in CHANNELS:
+            assert np.array_equal(one.channel(ch), three.channel(ch))
+        for r, c in itertools.product((1, 2), (511, 512, 513, 518)):
+            trip = combinatorial_triple(case_at(field, r, c))
+            assert one.p_min[r, c] == trip.p_min
+            assert one.p_max[r, c] == trip.p_max
+            assert one.p_saddle[r, c] == trip.p_saddle
+
     def test_closed_form_chunk_layout_does_not_change_results(self, monkeypatch):
-        # 5 x 5 = 25 interior pixels: chunks of 1, 2 and 7 pixels, the
-        # last two with a partial tail
+        # 5 x 5 = 25 interior pixels: blocks of 1 and 2 pixels of a row
+        # (2 + 2 + 1 in each row) and of whole rows for a 7-pixel budget
         subsets = [s for k in (1, 2) for s in itertools.combinations(CHANNELS, k)]
         models = [("uniform", 5), ("epanechnikov", 5)] + [("histogram", b) for b in (1, 5, 9)]
         for kind, bins in models:
@@ -1112,18 +1132,18 @@ class TestClassifyField:
                 assert str(err.value) == str(default.value)
 
     def test_chunk_error_propagates_after_the_pool_joins(self, monkeypatch):
-        # 5 x 6 = 30 interior pixels in chunks of 4: eight chunks on one
-        # queue, the third of which fails
+        # 5 x 6 = 30 interior pixels in blocks of 4 + 2 pixels of each
+        # row: ten blocks on one queue, the third of which fails
         field = small_field("uniform", seed=5)
         monkeypatch.setattr(engine, "CLOSED_PLANE", 4 * 9)
         assert math.ceil(30 / engine.closed_chunk_pixels(field.model)) >= 6
         calls = itertools.count(1)
         chunk_task = engine._chunk_task
 
-        def third_fails(payload):
+        def third_fails(*args):
             if next(calls) == 3:
                 raise RuntimeError("third chunk failed")
-            return chunk_task(payload)
+            return chunk_task(*args)
 
         monkeypatch.setattr(engine, "_chunk_task", third_fails)
         threads = threading.active_count()
@@ -1132,8 +1152,8 @@ class TestClassifyField:
         assert threading.active_count() == threads
 
     def test_chunk_queue_runs_every_chunk_once(self, monkeypatch):
-        # 30 one-pixel chunks on more workers than cores, switching threads
-        # as often as the interpreter allows: a start taken twice or lost
+        # 30 one-pixel blocks on more workers than cores, switching threads
+        # as often as the interpreter allows: a corner taken twice or lost
         # shows in the calls or in the output
         field = small_field("histogram", seed=6, bins=3)
         want = classify_field(field)
@@ -1142,9 +1162,10 @@ class TestClassifyField:
         origins = []
         chunk_task = engine._chunk_task
 
-        def recorded(payload):
-            origins.append(payload[3] + int(payload[4][0]))
-            return chunk_task(payload)
+        def recorded(method, kind, band, origin, width, *rest):
+            # the field index of the block's first pixel
+            origins.append(origin + width + 1)
+            return chunk_task(method, kind, band, origin, width, *rest)
 
         monkeypatch.setattr(engine, "_chunk_task", recorded)
         interval = sys.getswitchinterval()

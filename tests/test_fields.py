@@ -185,6 +185,14 @@ class TestFromEnsemble:
                 with pytest.raises(ValueError, match="value range .* overflows float64"):
                     fit([-1e308, 1e308])
 
+    def test_finite_range_whose_moments_overflow_rejected(self):
+        # the range 1.1e308 is finite, but the squares of the moment pass
+        # overflow; the fit refuses the support instead of warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="fitted supports overflow float64"):
+                epanechnikov_from_samples([-1e308, 1e307])
+
 
 def whole_stack_fit(values, model: ModelSpec) -> dict:
     """The fit as one pass over a float64 copy of the whole stack."""
