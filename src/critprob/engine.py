@@ -17,37 +17,44 @@ of survival and distribution factors.
 One kernel, ``_closed_chunk``, evaluates these integrals for a batch of
 stencils at once on flat parameter arrays, with one node set per pixel
 for all three channels.  Every bounded kind enters as its support (lo,
-hi[, weights]), the floats its ``dist_at`` holds.  Each stencil is
-shifted so the center's support is centered on zero; every kink
-(support end or ``histogram_edges`` bin edge of the five positions) is
-clipped to the center's support and sorted once, and Gauss-Legendre nodes on each interval between kinks (8 when any
-position is Epanechnikov, 3 otherwise) integrate every channel exactly.  A
-kink outside the center's support is clipped onto one of its ends, so
-it leaves an interval of zero width, whose node weights are zero and
-whose terms are exactly +0.0; on the Ackley ensembles of perfbench's
-closed-grid workload that is 44% of the uniform and Epanechnikov
-intervals and 24% of the histogram(5) ones.  The rest of the kernel
-runs on the live intervals alone, those of nonzero width, taken as one
-flat list with the pixel row of each.  What does not depend on the
-node is found once per live interval: each neighbor's CDF value at the
-midpoint and its slope, read for histograms from ``histogram_table``,
-and the center density times the half-width.  For the uniform and
-Epanechnikov kinds both are taken on the support's line t = (x - lo) /
-(hi - lo): the CDFs are t and t^2 (3 - 2 t), and an Epanechnikov center
-weighs the uniform density by 6 t (1 - t).  The kernel then takes
-one node at a time: the center weight and the four neighbor CDFs
-at that node are written in place into a fixed (16, live intervals)
-workspace, and every channel, a different product of the same rows,
-adds its node term to its own row.  Each channel's sums are then scattered back into a zeroed
-(pixels, intervals) plane and each pixel's row is summed, so a pixel
-sees the same values in the same order as if every interval had been
-evaluated, and the result is the same to the bit.  A closed-form block
-holds at most ``CLOSED_PLANE // intervals`` pixels (9 intervals for
-uniform and Epanechnikov stencils, ``5 * (bins + 1) - 1`` for
-histograms), so a plane has at most about ``CLOSED_PLANE`` elements and
-the kernel's working set stays in cache whatever the field size or
-model.  Per-pixel work never depends on how pixels are split into
-blocks, so results are identical for any worker count or plane budget.
+hi[, weights]), the floats its ``dist_at`` holds, through one table
+(``_closed_table``) that a grid block builds once per band pixel and
+reads through a (5, pixels) position index.  Each stencil is shifted so
+the center's support is centered on zero; every kink (support end or
+``histogram_edges`` bin edge of the five positions) is clipped to the
+center's support and sorted once, and Gauss-Legendre nodes on each
+interval between kinks (8 when any position is Epanechnikov, 3
+otherwise) integrate every channel exactly.  A kink outside the
+center's support is clipped onto one of its ends, so it leaves an
+interval of zero width, whose terms would be exactly +0.0; on the
+Ackley ensembles of perfbench's closed-grid workload that is 44% of the
+uniform and Epanechnikov intervals and 24% of the histogram(5) ones.
+The rest of the kernel runs on the live intervals alone, those of
+nonzero width, taken as one flat list with the pixel row of each.  What
+does not depend on the node is found once per live interval and
+position: the CDF value at the midpoint and its slope, and for the
+center its density times the half-width.  A histogram position's bin
+comes out of the sort: each of its kinks carries a count in one bit
+field per position, and the running sum of the sorted counts gives the
+bin at every interval, where one lookup reads the CDF at the bin's left
+edge, its slope and the edge.  Uniform and Epanechnikov positions are
+taken on the support's line t = (x - lo) / (hi - lo): the CDFs are t
+and t^2 (3 - 2 t), and an Epanechnikov center weighs the uniform
+density by 6 t (1 - t).  The nodes come in symmetric pairs +-x, whose
+slope times x is found once, and the middle node of the 3-node rule,
+x = 0, reads each midpoint value as it is.  One node at a time, the
+center weight and the neighbor CDFs are written in place into a few
+fixed (rows, live intervals) buffers, and every channel, a different
+product of the same rows, adds its node term to its own row.  One
+segmented sum (``np.add.reduceat``) then adds each pixel's live
+intervals in order, so a pixel's sum never depends on the block.  A
+closed-form block holds at most ``CLOSED_PLANE // intervals`` pixels
+(9 intervals for uniform and Epanechnikov stencils, ``5 * (bins + 1) -
+1`` for histograms), so a plane has at most about ``CLOSED_PLANE``
+elements and the kernel's working set stays near the cache whatever
+the field size or model.  Per-pixel work never depends on how pixels
+are split into blocks, so results are identical for any worker count or
+plane budget.
 
 Monte Carlo draws one realization of the field per sample: pixel p's
 value at sample i is counter i of p's own streams (one plane, two for a
@@ -221,7 +228,8 @@ def _case_groups(case: NeighborhoodCase) -> list:
     """The ``_closed_chunk`` groups of a case as a one-pixel stencil.
 
     Positions are grouped by kind and bin count, center first.  Every
-    distribution enters as its support, (lo, hi[, weights]).
+    distribution enters as its support, (lo, hi[, weights]), and each
+    group's ``_closed_table`` holds one row per position.
     """
     dists = (case.center, *case.neighbors)
     found = {}
@@ -230,12 +238,14 @@ def _case_groups(case: NeighborhoodCase) -> list:
         found.setdefault((d.kind, bins), []).append(i)
     groups = []
     for (kind, _), positions in found.items():
-        lo = np.array([[dists[i].support.lo] for i in positions])
-        hi = np.array([[dists[i].support.hi] for i in positions])
-        params = {"lo": lo, "hi": hi}
+        params = {
+            "lo": np.array([dists[i].support.lo for i in positions]),
+            "hi": np.array([dists[i].support.hi for i in positions]),
+        }
         if kind == "histogram":
-            params["weights"] = np.array([[dists[i].bin_weights] for i in positions])
-        groups.append((kind, positions, params))
+            params["weights"] = np.array([dists[i].bin_weights for i in positions])
+        index = np.arange(len(positions))[:, None]
+        groups.append((kind, positions, _closed_table(kind, params), index))
     return groups
 
 
@@ -549,94 +559,73 @@ def _band_params(kind: str, band: dict[str, np.ndarray]) -> dict[str, np.ndarray
     return _support_params(kind, band)
 
 
-def _centered(p, origin):
-    """Support parameters shifted by ``origin``, the center's midpoint.
+def _closed_table(kind: str, p: dict[str, np.ndarray]):
+    """The table the closed form reads for a batch of supports.
 
-    Probabilities are shift-invariant.  In the shifted frame, node
+    ``p`` is a support record of (B,) ends and, for histograms, (B, bins)
+    normalized weights.  Returns (lo, hi, offsets, line): the support
+    ends and, for histograms, two (B, bins + 2) tables whose column c
+    stands for bin c - 1 (columns 0 and bins + 1 are the pads below and
+    above the support): ``offsets`` holds each bin's left edge less
+    ``lo`` (0 on the pad below), and ``line`` the ``histogram_table`` CDF
+    at that edge plus i times the CDF's slope on the bin, its mass over
+    the bin width (0 on the pads).  For the other kinds ``offsets`` is
+    None and ``line`` the slope of the support's line t = (x - lo) /
+    (hi - lo).  The table depends on no frame, so a grid block builds it
+    once per band pixel.
+    """
+    lo, hi = p["lo"], p["hi"]
+    # a support of zero width, which a stencil may read only as a
+    # neighbor, gets an infinite slope that no live interval reads
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind != "histogram":
+            return lo, hi, None, None, 1.0 / (hi - lo)
+        _, binw, slope, cdf = histogram_table(lo, hi, p["weights"])
+        # each mass becomes its slope, in place; the pads stay 0
+        np.divide(slope[:, 1:-1], binw, out=slope[:, 1:-1])
+    offsets = np.zeros(slope.shape)
+    offsets[:, 1:] = histogram_edges(0.0, binw, slope.shape[1] - 2)
+    return lo, hi, offsets, cdf, slope
+
+
+def _closed_edges(table, rows, origin) -> np.ndarray:
+    """Histogram bin edges of each stencil position in its center's frame.
+
+    ``rows`` holds the (pixels, positions) rows of ``table`` (see
+    ``_closed_table``) and ``origin`` each pixel's center midpoint.
+    Probabilities are shift-invariant; in the shifted frame node
     coordinates are on the scale of the support widths, so narrow
-    supports far from the origin keep their relative precision.
+    supports far from the origin keep their relative precision.  Returns
+    (pixels, positions, bins + 2): column k + 1 is edge k, lo + binw * k
+    in the frame as ``histogram_edges`` gives it, and column 0 repeats
+    edge 0, so column c holds the left edge of the table's column c.
     """
-    return {**p, "lo": p["lo"] - origin, "hi": p["hi"] - origin}
-
-
-def _closed_kinks(lo, hi, table=None) -> np.ndarray:
-    """Every kink of each stencil, (pixels, kinks), position by position.
-
-    ``lo`` and ``hi`` are the (positions, pixels) support bounds.  A
-    support has two kinks, its ends; a histogram has the
-    ``histogram_edges`` of its row of ``table``, the ``histogram_table``
-    of the positions * pixels supports.
-    """
-    if table is None:
-        kinks = np.stack([lo.T, hi.T], axis=2)
-    else:
-        # (pixels, positions, 1) columns, so the edges come out pixel by pixel
-        t_lo, binw = (col.reshape(lo.shape[0], -1).T[:, :, None] for col in table[:2])
-        kinks = histogram_edges(t_lo, binw, table[2].shape[1] - 2)
-    return kinks.reshape(kinks.shape[0], -1)
-
-
-def _neighbor_lines(kind: str, p, nbr, mid, half):
-    """Neighbor CDFs on each live interval, as affine functions of the node.
-
-    ``p`` holds the (positions, pixels) parameters of one group of
-    stencil positions, or for histograms the ``histogram_table`` of the
-    same positions * pixels rows with each mass divided by the bin
-    width, the CDF's slope.  ``nbr`` is the (k, L) rows of the group's k
-    neighbors of each of the L intervals, whose midpoints and
-    half-widths are ``mid`` and ``half``.  Returns the (k, L) value at
-    each midpoint and the change per unit node coordinate; the value at
-    node ``x`` is ``at_mid + slope * x``, for other kinds the support's
-    line t = (x - lo) / (hi - lo), which the Epanechnikov CDF takes.  No
-    interval straddles one of the neighbor's kinks, so on each interval
-    its CDF is 0, 1, or a single polynomial piece, found once from the
-    interval midpoint.  Intervals outside the support get zero slope, so
-    their nodes take the tail value exactly.
-    """
-    if kind == "histogram":
-        t_lo, t_binw, slope_tab, cdf = p
-        bins = slope_tab.shape[1] - 2
-        lo, binw = np.take(t_lo, nbr), np.take(t_binw, nbr)
-        j = np.floor((mid - lo) / binw)
-        np.clip(j, -1, bins, out=j)
-        at = nbr * (bins + 2) + 1
-        at += j.astype(np.intp)
-        slope = np.take(slope_tab, at)
-        at_mid = np.take(cdf, at)
-        at_mid += slope * (mid - (lo + binw * j))
-        slope *= half
-        return np.clip(at_mid, 0.0, 1.0, out=at_mid), slope
-    lo, hi = np.take(p["lo"], nbr), np.take(p["hi"], nbr)
-    slope = 1.0 / (hi - lo)
-    at_mid = slope * (mid - lo)
-    np.clip(at_mid, 0.0, 1.0, out=at_mid)
-    slope *= half
-    inside = (mid > lo) & (mid < hi)
-    return at_mid, np.where(inside, slope, 0.0)
+    lo, _, offsets, _, _ = table
+    frame_lo = np.take(lo, rows)
+    frame_lo -= origin[:, None]
+    edges = np.take(offsets, rows, axis=0)
+    edges += frame_lo[..., None]
+    return edges
 
 
 # Elements of one (pixels, intervals) plane of the closed-form kernel:
-# 1024 pixels of a uniform or Epanechnikov stencil, 317 of histogram(5).
-# The budget bounds the dense planes of kinks, midpoints and half-widths;
-# the node workspace holds 16 rows of the live intervals only, so at most
-# 16 planes.  Measured with perfbench on a 2-core x86 host (2 MiB L2 per
-# core), medians of 3 interleaved rounds at --seconds 10, closed-grid
-# wall_s and scalar-io wall_s / peak_rss_mib by budget, with the kernel
-# still evaluating every interval: 4608 0.098 s and 0.50 s / 96.0 MiB,
-# 9216 0.110 and 0.42 / 98.0, 13824 0.124 and 0.41 / 101.0, 18432 0.145
-# and 0.47 / 103.8 (the 1024-pixel cap before it: 0.165 and 0.46 / 98.1).
-# Past the L2 the kernel slowed sharply: the 254x254 scalar-io classify
-# at workers=1 took 300 ms at 18432 against 130 ms at 9216 (medians of
-# 6 interleaved runs).  Below 9216 the thread pool loses: with more,
-# shorter numpy calls the two workers wait on the interpreter lock, and
-# the same classify at workers=2 took 155 ms at 4608 and 280 ms at 2304
-# against 113 ms at 9216 (medians of 5).  Swept again on live intervals
-# only, same host and method (seeds 101-103): 4608 0.060 s and 0.33 s /
-# 93.9 MiB, 9216 0.051 and 0.30 / 92.5, 13824 0.060 and 0.28 / 93.4,
-# 18432 0.041 and 0.31 / 96.2, with closed-grid peak_rss_mib 89.3 at
-# 9216 and 91.2 at 18432.  The 18432 gain on closed-grid has not been
-# checked in alternating pairs, so the budget stays at 9216.
-CLOSED_PLANE = 9216
+# 1536 pixels of a uniform or Epanechnikov stencil, 476 of histogram(5).
+# The budget bounds the dense planes of kinks and their sort; the rows
+# of the live intervals that the lines and the node loop fill grow with
+# it.  Swept on a 2-core x86 host (2 MiB L2 per core), Ackley fields of
+# 50 members, `classify_field` on one worker, each budget against 9216
+# in alternating pairs (10 at 64^2, 8 at 256^2), change of the median
+# time, uniform / Epanechnikov / histogram(5):
+#    11520  64^2  -1.2 / -5.2 / +1.2%   256^2  -3.7 / +9.9 /  0.0%
+#    13824  64^2  -5.0 / -3.4 / -5.5%   256^2  -5.2 / -4.0 / +3.2%
+#    18432  64^2 -10.1 / -7.1 / +70%    256^2 -10.6 / -1.8 / -11.6%
+# At 256^2 a histogram(5) block is one 254-pixel row up to 13824, so its
+# figures there are noise.  At 18432 a 64^2 histogram(5) block of 620
+# pixels holds about 14600 live intervals and falls out of the cache.
+# The 64^2 tracemalloc peak of a classify, 9216 -> 13824: 1.38 -> 2.01,
+# 1.59 -> 2.32 and 1.90 -> 2.53 MiB, under the 2.59 MiB of the
+# histogram(5) classify before this kernel.
+CLOSED_PLANE = 13824
 
 
 def closed_chunk_pixels(model) -> int:
@@ -653,168 +642,273 @@ def _closed_chunk(groups, channels) -> dict[str, np.ndarray]:
     """All requested channels of a pixel chunk from one shared node set.
 
     ``groups`` lists the stencil positions of each kind and bin count as
-    (kind, positions, params): the ascending positions (0 the center,
-    then east, north, west and south, or east and north alone) and the
-    support record of those positions: ``lo`` and ``hi``, each
-    (len(positions), pixels), and for histograms the (len(positions),
-    pixels, bins) ``weights``.  A grid block is one group of all five
-    positions; a single case has a group for each kind and bin count
-    among its distributions.  Every kink is clipped to the center's
+    (kind, positions, table, index): the ascending positions (0 the
+    center, then east, north, west and south, or east and north alone),
+    a ``_closed_table`` of supports, and the (len(positions), pixels)
+    rows of that table at those positions.  A grid block is one group of
+    all five positions over the table of its band pixels; a single case
+    has a group for each kind and bin count among its distributions, one
+    table row per position.  Every kink is clipped to the center's
     support and sorted once; the center density and the neighbor CDFs
     are evaluated on the resulting Gauss-Legendre nodes, and each
-    channel is a different product of those same values.  This
-    is exact: every factor is a polynomial between consecutive kinks,
-    and each channel's integrand vanishes outside its own range.
-    ``channels`` may also name ``"mass"``, the sum of the node weights
-    alone, the center density's quadrature mass.
+    channel is a different product of those same values.  This is exact:
+    every factor is a polynomial between consecutive kinks, and each
+    channel's integrand vanishes outside its own range.  ``channels``
+    may also name ``"mass"``, the sum of the node weights alone, the
+    center density's quadrature mass.
 
     A kink outside the center's support is clipped onto one of its ends
-    and leaves an interval of zero width, whose node weights and so
-    whose terms are exactly +0.0.  Only the L live intervals, those of
-    nonzero width, are evaluated: their flat indices and pixel rows are
-    taken once, and per-interval quantities (each neighbor's midpoint
-    value and slope, the center density times the half-width) are found
-    for them alone, the neighbors stacked on a leading axis group by
-    group.  The nodes are then visited one at a time: each factor of a
-    node is written in place into one (16, L) workspace, and the node's
-    min, max and saddle terms are added to one row each; a 17th row adds
-    up the node weights when the mass is asked for.  Each channel's
-    sums are scattered back into a zeroed (pixels, intervals) plane, so
-    every dead interval holds the +0.0 it would have added, and each
-    plane row is reduced as one contiguous row.  Nodes are added in
-    order and a pixel's intervals reduced in the same order whatever the
-    chunk, so a pixel's rounding never depends on the chunk size.  A row
-    sum below 0, which only rounding could give, is raised to +0.0.
-    """
-    c_kind, _, c_pos = groups[0]
-    origin = 0.5 * (c_pos["lo"][0] + c_pos["hi"][0])
-    found, kinks = [], []
-    for kind, positions, p in groups:
-        p = _centered(p, origin)
-        lo, hi = p["lo"], p["hi"]
-        table = None
-        if kind == "histogram":
-            bins = p["weights"].shape[-1]
-            p = table = histogram_table(lo.ravel(), hi.ravel(), p["weights"].reshape(-1, bins))
-            # each mass becomes its slope mass / bin width, in place; the
-            # pads stay 0, on a support of zero width too
-            np.divide(table[2][:, 1:-1], table[1], out=table[2][:, 1:-1])
-        found.append((kind, positions, p, lo, hi))
-        kinks.append(_closed_kinks(lo, hi, table))
-    pts = kinks[0] if len(kinks) == 1 else np.concatenate(kinks, axis=1)
-    _, _, c_pos, c_lo, c_hi = found[0]
-    np.maximum(pts, c_lo[0, :, None], out=pts)
-    np.minimum(pts, c_hi[0, :, None], out=pts)
-    pts.sort(axis=1)
-    half = 0.5 * (pts[:, 1:] - pts[:, :-1])
-    mid = 0.5 * (pts[:, 1:] + pts[:, :-1])
-    shape = half.shape
-    npix = shape[0]
-    # intervals of nonzero width; NaN widths stay, so NaN reaches the sums
-    live = np.flatnonzero(half)
-    row = live // shape[1]
-    mid, half = np.take(mid, live), np.take(half, live)
-    del pts, kinks
-    # neighbor CDFs at node x, at_mid + slope * x, group by group; order
-    # holds the stencil position of each row
-    lines, order, cubic = [], [], slice(0)
-    for kind, positions, p, _, _ in found:
-        idx = [i for i, q in enumerate(positions) if q != 0]
-        if not idx:
-            continue
-        if kind == "epanechnikov":
-            cubic = slice(len(order), len(order) + len(idx))
-        # rows of the group's neighbors among its positions * pixels
-        nbr = row + npix * np.array(idx)[:, None]
-        lines.append(_neighbor_lines(kind, p, nbr, mid, half))
-        order += [positions[i] for i in idx]
-    if len(lines) == 1:
-        at_mid, slope = lines[0]
-    else:
-        at_mid, slope = (np.concatenate(part) for part in zip(*lines))
-    epan = any(kind == "epanechnikov" for kind, _, _, _, _ in found)
-    xi, wts = _GAUSS_LEGENDRE[8 if epan else 3]
-    if c_kind != "histogram":
-        scale = np.take(1.0 / (c_hi[0] - c_lo[0]), row)
-        density = scale * half
-        if c_kind == "epanechnikov":
-            # the center's line t at node x is c_mid + density * x
-            c_mid = scale * (mid - np.take(c_lo[0], row))
-    else:
-        # the center's bins only, as every live midpoint is on its support
-        bins = c_pos[2].shape[1] - 2
-        j = np.floor((mid - np.take(c_lo[0], row)) / np.take(c_pos[1], row))
-        np.clip(j, 0, bins - 1, out=j)
-        at = row * (bins + 2) + 1
-        at += j.astype(np.intp)
-        density = np.take(c_pos[2], at) * half
-    del mid, nbr, found, lines, c_pos, c_lo, c_hi
+    and leaves an interval of zero width, whose terms would be exactly
+    +0.0; only the L live intervals, those of nonzero width, are
+    evaluated, as one flat list with the pixel row of each.  When any
+    position is a histogram the kinks are argsorted: each histogram kink
+    carries a code that adds 1 to its position's bit field, so the
+    running sum of the sorted codes counts, at each interval's left end,
+    the position's edges at or below it, whatever the order of tied
+    kinks.  That count is the column of the position's bin in its row of
+    the frame's tables, where one lookup each reads the bin's left edge,
+    the CDF there and the slope, so the CDF at the midpoint is ``cdf +
+    slope * (mid - edge)``; a histogram center reads its slope alone.  A
+    uniform or Epanechnikov position is taken on its support's line t =
+    (x - lo) / (hi - lo), clipped into [0, 1], with zero slope outside
+    the support.  Every position's slope is scaled to the unit node
+    coordinate, so a line's value at node x is ``at_mid + slope * x``.
 
-    mass = "mass" in channels
-    work = np.empty((16 + mass, live.size))
-    g = work[0]
-    # survival and CDF of the neighbors
-    sf_cdf = work[1 : 1 + 2 * len(order)].reshape(2, len(order), live.size)
-    sf, cdf = sf_cdf
-    terms = work[5:8]  # scratch once ew and ns are found
-    acc = work[13:16]  # min, max, saddle
-    t, s = cdf[cubic], sf[cubic]  # Epanechnikov neighbors
-    east, north = sf_cdf[:, order.index(1)], sf_cdf[:, order.index(2)]
-    # [below, above] the east/west pair and the north/south pair
-    if len(order) == 4:
-        west, south = sf_cdf[:, order.index(3)], sf_cdf[:, order.index(4)]
-        ew, ns = work[9:11], work[11:13]
-        pair = sf[:2]
+    The nodes come in symmetric pairs -x, +x: the slopes times x are
+    found once for both, in place of the slopes when the rule has one
+    pair, and the middle node of an odd rule, x = 0, reads each
+    ``at_mid`` as it is, between the last pair's two nodes, so the
+    3-node rule adds its nodes in ascending order.  A node's factors are
+    written in place into fixed buffers of L columns: the neighbor
+    survivals and CDFs, whose east and north rows then take the products
+    below and above each axis pair, with the node weight joined to the
+    east/west one; its min, max and saddle terms (and its weight, for the
+    mass) are added to one row each.  One segmented sum
+    (``np.add.reduceat``) then adds each pixel's live intervals in
+    order, so a pixel's rounding never depends on the chunk.  A sum
+    below 0, which only rounding could give, is raised to +0.0.
+    """
+    _, _, (c_lo, c_hi, *_), c_index = groups[0]
+    origin = 0.5 * (np.take(c_lo, c_index[0]) + np.take(c_hi, c_index[0]))
+    npix = origin.size
+    # one line row per position: the center first, then the neighbors,
+    # Epanechnikov ones last
+    slots = sorted(
+        ((g, i) for g, group in enumerate(groups) for i in range(len(group[1]))),
+        key=lambda s: (groups[s[0]][1][s[1]] != 0, groups[s[0]][0] == "epanechnikov"),
+    )
+    line_of = {s: r for r, s in enumerate(slots)}
+    nrows = len(slots)
+    # one bit field per position counts up to bins + 1 edges
+    counted = [table[2].shape[1] - 1 for kind, _, table, _ in groups if kind == "histogram"]
+    bits = max(counted, default=0).bit_length()
+    if bits * nrows > 63:
+        raise ValueError(
+            f"the closed form takes at most {(1 << 63 // nrows) - 2} histogram bins"
+        )
+    # each group's positions in the center's frame, and their kinks
+    frames, kinks, codes = [], [], []
+    for g, (kind, positions, table, index) in enumerate(groups):
+        rows = index.T
+        lines = [line_of[g, i] for i in range(len(positions))]
+        if kind == "histogram":
+            edges = _closed_edges(table, rows, origin)
+            cdf, slope = (np.take(t, rows, axis=0) for t in table[3:])
+            frames.append((kind, lines, (edges, cdf, slope)))
+            kinks.append(edges[..., 1:])
+            codes.append(np.repeat(1 << (bits * np.array(lines)), edges.shape[2] - 1))
+        else:
+            lo, hi = np.take(table[0], rows), np.take(table[1], rows)
+            lo -= origin[:, None]
+            hi -= origin[:, None]
+            frames.append((kind, lines, (lo, np.take(table[4], rows))))
+            kinks.append(np.stack([lo, hi], axis=1))
+            codes.append(np.zeros(2 * len(positions), dtype=np.int64))
+    # kinks are clipped to the center's support: its first and last edge
+    kind, _, data = frames[0]
+    if kind == "histogram":
+        first, last = data[0][:, 0, 1], data[0][:, 0, -1]
     else:
-        ew, ns = east, north
-        pair = work[9:11]
-    for k in range(xi.size):
-        # quadrature weight of the node, center density included
-        if c_kind == "epanechnikov":
-            # 6 t (1 - t) times the uniform density, with terms as
-            # scratch until the neighbor CDFs are written
-            np.multiply(density, xi[k], out=g)
-            np.add(c_mid, g, out=g)
+        first, last = kinks[0][:, 0, 0], kinks[0][:, 1, 0]
+    kinks = [np.maximum(k, first[:, None, None]).reshape(npix, -1) for k in kinks]
+    kinks = kinks[0] if len(kinks) == 1 else np.concatenate(kinks, axis=1)
+    np.minimum(kinks, last[:, None], out=kinks)
+    nk = kinks.shape[1]
+    if counted:
+        order = np.argsort(kinks, axis=1)
+        state = np.take(np.concatenate(codes), order)
+        np.cumsum(state, axis=1, out=state)
+        order += nk * np.arange(npix)[:, None]
+        pts = np.take(kinks, order)
+        del order
+    else:
+        kinks.sort(axis=1)
+        pts = kinks
+    del kinks
+    # intervals of nonzero width; NaN widths stay, so NaN reaches the sums
+    gaps = np.subtract(pts[:, 1:], pts[:, :-1])
+    live_mask = gaps != 0.0
+    live = np.flatnonzero(live_mask)
+    size = live.size
+    row = live // (nk - 1)
+    left = live + row  # each interval's left end among the sorted kinks
+    mid = np.take(pts, left)
+    if counted:
+        state = np.take(state, left)
+    left += 1
+    mid += np.take(pts, left)
+    mid *= 0.5
+    half = np.take(gaps, live)
+    half *= 0.5
+    del pts, gaps, left, live
+    # each line row's value at the midpoint and its slope per unit node
+    # coordinate, group by group
+    parts = []
+    for kind, lines, data in frames:
+        if kind == "histogram":
+            # the bin of each position at each interval: its edges at or
+            # below the left end, read from its bit field of the state
+            edges, cdf, slope = data
+            n, cols = edges.shape[1:]
+            at = state >> (bits * np.array(lines))[:, None]
+            at &= (1 << bits) - 1
+            at += (cols * np.arange(n))[:, None]
+            at += row * (n * cols)
+            # the CDF at the bin's left edge plus the slope times the
+            # distance from it; a histogram center needs its slope alone
+            slope = np.take(slope, at)
+            at_mid = np.empty((n, size))
+            if lines[0] == 0:
+                at_mid[0] = 0.0
+                at = at[1:]
+            rest = at_mid[n - at.shape[0] :]
+            np.take(edges, at, out=rest)
+            np.subtract(mid, rest, out=rest)
+            rest *= slope[n - at.shape[0] :]
+            rest += np.take(cdf, at)
+            np.minimum(rest, 1.0, out=rest)
+            slope *= half
+        else:
+            # the support's line t, with zero slope outside the support
+            lo, inv = data
+            n = lo.shape[1]
+            at = row * n + np.arange(n)[:, None]
+            at_mid = np.take(lo, at)
+            np.subtract(mid, at_mid, out=at_mid)
+            slope = np.take(inv, at)
+            at_mid *= slope
+            # a support of zero width has an infinite slope, and t is
+            # -inf or +inf on every live interval
+            np.minimum(slope, np.finfo(float).max, out=slope)
+            slope *= (at_mid > 0.0) & (at_mid < 1.0)
+            slope *= half
+            np.maximum(at_mid, 0.0, out=at_mid)
+            np.minimum(at_mid, 1.0, out=at_mid)
+        parts.append((lines, slope, at_mid))
+    # each pixel's live intervals, one segment of the sums
+    counts = np.bincount(row, minlength=npix)
+    del at, mid, half, frames, row
+    if len(parts) == 1:
+        _, slope, at_mid = parts[0]
+    else:
+        slope, at_mid = np.empty((2, nrows, size))
+        for lines, part_slope, part_mid in parts:
+            slope[lines], at_mid[lines] = part_slope, part_mid
+    kinds = [groups[g][0] for g, _ in slots]
+    order = [groups[g][1][i] for g, i in slots[1:]]
+    nbr = len(order)
+    density, c_mid, nbr_slope, nbr_mid = slope[0], at_mid[0], slope[1:], at_mid[1:]
+    linear = slice(0, sum(kind != "epanechnikov" for kind in kinds[1:]))
+    cubic = slice(linear.stop, nbr)
+    epan = kinds[0] == "epanechnikov"
+    xi, wts = _GAUSS_LEGENDRE[8 if "epanechnikov" in kinds else 3]
+    mass = "mass" in channels
+    nch = 3 + mass
+    n = xi.size
+    # slope times x, shared by the nodes -x and +x, in place of the slope
+    # when the rule has one pair; [sf, cdf] of each neighbor at one node,
+    # whose rows then take the pair products; the node's weight, center
+    # density included; the node's terms and their sums
+    if n // 2 == 1:
+        shift = nbr_slope
+    else:
+        shift = np.empty((nbr + epan, size))
+    sf_cdf = np.empty((2, nbr, size))
+    sf, cdf = sf_cdf
+    g = np.empty(size)
+    terms = np.empty((nch, size))
+    acc = np.empty((nch, size))
+    east, north = sf_cdf[:, order.index(1)], sf_cdf[:, order.index(2)]
+    if nbr == 4:
+        west, south = sf_cdf[:, order.index(3)], sf_cdf[:, order.index(4)]
+        cross = west
+    else:
+        cross = np.empty((2, size))
+
+    def add_node(k, sign, first):
+        """Add the terms of node k, at ``sign`` times the pair's x."""
+        op = np.add if sign > 0 else np.subtract
+        if sign:
+            op(nbr_mid, shift[:nbr], out=cdf)
+        else:
+            # the middle node, x = 0, reads each midpoint value as it is
+            np.copyto(cdf, nbr_mid)
+        if cubic.stop > cubic.start:
+            # CDF t^2 (3 - 2 t), with sf as scratch
+            t, s = cdf[cubic], sf[cubic]
+            np.multiply(t, -2.0, out=s)
+            s += 3.0
+            t *= t
+            t *= s
+        np.subtract(1.0, cdf, out=sf)
+        if epan:
+            # with the terms as scratch until they are found
+            op(c_mid, shift[nbr], out=g)
             np.subtract(1.0, g, out=terms[0])
             np.multiply(g, terms[0], out=g)
+            # 6 t (1 - t) times the uniform density
             np.multiply(g, density, out=g)
             np.multiply(g, 6.0 * wts[k], out=g)
         else:
             np.multiply(density, wts[k], out=g)
-        np.multiply(slope, xi[k], out=cdf)
-        np.add(at_mid, cdf, out=cdf)
-        if cubic.stop:
-            # CDF t^2 (3 - 2 t), with sf as scratch
-            np.multiply(t, -2.0, out=s)
-            np.add(s, 3.0, out=s)
-            np.multiply(t, t, out=t)
-            np.multiply(t, s, out=t)
-        np.subtract(1.0, cdf, out=sf)
-        if len(order) == 4:
-            np.multiply(east, west, out=ew)
-            np.multiply(north, south, out=ns)
+        # [below, above] the east/west pair and the north/south pair, in
+        # the east and north rows; the weight joins the east/west factors
+        if nbr == 4:
+            np.multiply(east, west, out=east)
+            np.multiply(north, south, out=north)
+        np.multiply(east, g, out=east)
         # min: below all neighbors; max: above all; saddle: below one
         # pair and above the other, either way round
-        np.multiply(ew, ns, out=terms[:2])
-        np.multiply(ew, ns[::-1], out=pair)
-        np.add(pair[0], pair[1], out=terms[2])
-        if k == 0:
-            np.multiply(g, terms, out=acc)
-            if mass:
-                np.copyto(work[16], g)
-        else:
-            np.multiply(g, terms, out=terms)
+        out = acc if first else terms
+        np.multiply(east, north, out=out[:2])
+        np.multiply(east, north[::-1], out=cross)
+        np.add(cross[0], cross[1], out=out[2])
+        if mass:
+            np.copyto(out[3], g)
+        if not first:
             np.add(acc, terms, out=acc)
-            if mass:
-                np.add(work[16], g, out=work[16])
-    sums = dict(zip((*CHANNELS, "mass"), work[13:]))
-    # the dead intervals stay +0.0 from one channel to the next
-    plane = np.zeros(shape)
-    out = {}
-    for ch in channels:
-        plane.reshape(-1)[live] = sums[ch]
-        out[ch] = np.maximum(plane.sum(axis=1), 0.0)
-    return out
+
+    for k in range(n // 2):
+        x = xi[n - 1 - k]  # the pair's nodes are -x and +x
+        np.multiply(nbr_slope, x, out=shift[:nbr])
+        if epan:
+            np.multiply(density, x, out=shift[nbr])
+        add_node(k, -1, k == 0)
+        if n % 2 and k == n // 2 - 1:
+            # an odd rule adds its nodes in ascending order
+            add_node(n // 2, 0, False)
+        add_node(n - 1 - k, 1, False)
+    # each pixel's live intervals in order
+    if size:
+        starts = np.cumsum(counts)
+        starts -= counts
+        sums = np.add.reduceat(acc, np.minimum(starts, size - 1), axis=1)
+        sums[:, counts == 0] = 0.0
+    else:
+        sums = np.zeros((nch, npix))
+    np.maximum(sums, 0.0, out=sums)
+    found = dict(zip((*CHANNELS, "mass"), sums))
+    return {ch: found[ch] for ch in channels}
 
 
 # Draws per tile of the semianalytical kernel (pixels times draws) and
@@ -1036,6 +1130,13 @@ def _semi_chunk(samplers, px_idx, c, seed, channels) -> dict[str, np.ndarray]:
     return out
 
 
+def _stencil(a: np.ndarray) -> np.ndarray:
+    """Center, east, north, west and south of every interior pixel of a
+    (rows, cols[, bins]) band, as (5, pixels[, bins])."""
+    shifted = np.stack([a[1:-1, 1:-1], a[1:-1, 2:], a[:-2, 1:-1], a[1:-1, :-2], a[2:, 1:-1]])
+    return shifted.reshape((5, -1) + a.shape[2:])
+
+
 def _chunk_task(method, kind, band, origin, width, estimator, channels) -> dict[str, np.ndarray]:
     """One block of ``classify_field``: a rectangle of interior pixels.
 
@@ -1044,12 +1145,19 @@ def _chunk_task(method, kind, band, origin, width, estimator, channels) -> dict[
     index of the band's first pixel and ``width`` the field's width, so
     band pixel (i, j) is field pixel ``origin + width * i + j``, the key
     of its sample streams.  Monte Carlo draws every pixel of the band
-    once per sample; the other methods take each stencil position as a
-    shifted slice of the band, so their copies scale with the block.
-    Results are the block's pixels in row-major order.
+    once per sample; the closed form builds one table of the band's
+    pixels and reads each stencil position through a (5, pixels) index;
+    the other methods take each stencil position as a shifted slice of
+    the band.  So every copy scales with the block.  Results are the
+    block's pixels in row-major order.
     """
     rows, cols = next(iter(band.values())).shape[:2]
     params = _band_params(kind, band)
+    if method == "closed_form":
+        # one table row per band pixel, read by each stencil position
+        flat = {name: a.reshape((-1,) + a.shape[2:]) for name, a in params.items()}
+        index = _stencil(np.arange(rows * cols).reshape(rows, cols))
+        return _closed_chunk([(kind, range(5), _closed_table(kind, flat), index)], channels)
     pixels = origin + width * np.arange(rows)[:, None] + np.arange(cols)
     if method == "monte_carlo":
         # the block's pixels are every interior pixel of the band
@@ -1059,14 +1167,7 @@ def _chunk_task(method, kind, band, origin, width, estimator, channels) -> dict[
         return _mc_chunk(
             [(0, keys, kernel, columns)], rows, cols, estimator.n_samples, channels, GRID_DRAWS
         )
-    # center, east, north, west, south, as (5, pixels[, bins])
-    stacked = {
-        name: np.stack([a[1:-1, 1:-1], a[1:-1, 2:], a[:-2, 1:-1], a[1:-1, :-2], a[2:, 1:-1]])
-        for name, a in params.items()
-    }
-    stacked = {name: a.reshape((5, -1) + a.shape[3:]) for name, a in stacked.items()}
-    if method == "closed_form":
-        return _closed_chunk([(kind, range(5), stacked)], channels)
+    stacked = {name: _stencil(a) for name, a in params.items()}
     pos = [{name: arr[i] for name, arr in stacked.items()} for i in range(5)]
     samplers = [_sampler(kind, p) for p in pos]
     if method == "combinatorial":

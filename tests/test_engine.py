@@ -6,6 +6,7 @@ import multiprocessing.process
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -800,11 +801,11 @@ class TestClassifyField:
 
     def test_closed_form_matches_per_case_calls(self):
         rng = np.random.default_rng(3)
-        # 38 x 28 = 1064 interior pixels span two or more closed-form
+        # 38 x 50 = 1900 interior pixels span two or more closed-form
         # blocks of whole rows and end in a partial one; the pixels on
         # either side of every block edge are checked
-        base = 10.0 + rng.uniform(-1.0, 1.0, (30, 40))
-        two_chunks = EnsembleStack(base + rng.uniform(-0.3, 0.3, (16, 30, 40)))
+        base = 10.0 + rng.uniform(-1.0, 1.0, (52, 40))
+        two_chunks = EnsembleStack(base + rng.uniform(-0.3, 0.3, (16, 52, 40)))
         for kind in ("uniform", "epanechnikov", "histogram"):
             field = small_field(kind, seed=11)
             pixels = [
@@ -813,11 +814,11 @@ class TestClassifyField:
             ]
             big = UncertainField.from_ensemble(two_chunks, ModelSpec(kind=kind, bins=5))
             chunk = engine.closed_chunk_pixels(big.model)
-            assert 1064 > chunk and 1064 % chunk != 0
+            assert 1900 > chunk and 1900 % chunk != 0
             rows = chunk // 38
-            assert 28 > rows and 28 % rows != 0
-            edges = [r for start in range(rows, 28, rows) for r in (start - 1, start)]
-            boundary = [(1 + r, c) for r in (0, *edges, 27) for c in (1, 38)]
+            assert 50 > rows and 50 % rows != 0
+            edges = [r for start in range(rows, 50, rows) for r in (start - 1, start)]
+            boundary = [(1 + r, c) for r in (0, *edges, 49) for c in (1, 38)]
             for fld, where in ((field, pixels), (big, boundary)):
                 prob = classify_field(fld)
                 for r, c in where:
@@ -903,16 +904,16 @@ class TestClassifyField:
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     def test_histogram_kinks_are_the_sampler_edges(self, monkeypatch, offset):
         # The closed form integrates between exactly the bin edges on which
-        # the inverse CDF of the same table lands.
+        # the inverse CDF of the same table lands, in the center's frame.
         seen = []
 
-        def spy(lo, hi, table=None):
-            kinks = closed_kinks(lo, hi, table)
-            seen.append((table, kinks.copy()))  # clipped in place afterwards
-            return kinks
+        def spy(table, rows, origin):
+            edges = closed_edges(table, rows, origin)
+            seen.append((rows, origin, edges))
+            return edges
 
-        closed_kinks = engine._closed_kinks
-        monkeypatch.setattr(engine, "_closed_kinks", spy)
+        closed_edges = engine._closed_edges
+        monkeypatch.setattr(engine, "_closed_edges", spy)
         rng = np.random.default_rng(int(offset) % 1000 + 41)
         for bins in range(1, 10):
             lo = offset + rng.uniform(-0.5, 0.5, (3, 3))
@@ -924,15 +925,23 @@ class TestClassifyField:
                 ModelSpec("histogram", bins=bins), {"lo": lo, "hi": hi, "weights": weights}
             )
             classify_field(field)
-            table, kinks = seen.pop()
-            t_lo, binw, mass, cdf = table
-            edges = histogram_edges(t_lo, binw, bins)
-            # one stencil: its five positions' edges, center first
-            assert np.array_equal(kinks, edges.reshape(1, -1))
+            rows, origin, edges = seen.pop()
+            # one stencil: the band rows of its five positions, center first
+            assert rows.tolist() == [[4, 5, 1, 3, 7]]
+            assert origin[0] == 0.5 * (lo[1, 1] + hi[1, 1])
+            band = rows[0]
+            w = weights.reshape(9, bins)[band]
+            _, binw, mass, cdf = histogram_table(
+                lo.ravel()[band], hi.ravel()[band], w / w.sum(axis=1, keepdims=True)
+            )
+            # the supports' table with lo moved into the frame
+            frame_lo = (lo.ravel()[band] - origin[0])[:, None]
+            kinks = histogram_edges(frame_lo, binw, bins)
+            assert np.array_equal(edges[0, :, 1:], kinks)
             u = cdf[:, 1:-1].copy()
-            x = histogram_icdf(*table, u, np.empty_like(u))
+            x = histogram_icdf(frame_lo, binw, mass, cdf, u, np.empty_like(u))
             filled = mass[:, 1:-1] > 0.0
-            assert np.array_equal(x[filled], edges[:, :-1][filled])
+            assert np.array_equal(x[filled], kinks[:, :-1][filled])
 
     def test_constant_field_with_iid_noise(self):
         rng = np.random.default_rng(4)
@@ -1195,21 +1204,49 @@ class TestClassifyField:
         output = sum(a.nbytes for a in (prob.p_min, prob.p_max, prob.p_saddle, prob.valid))
         assert peak - output < 4 * 2**20
 
+    def test_closed_form_bin_limit(self):
+        # each stencil position counts its bin edges in a 12-bit field of
+        # one int64, so a 5-point histogram stencil takes 4094 bins at most
+        lo = np.zeros((3, 3))
+        for bins, fits in ((4094, True), (4095, False)):
+            field = UncertainField(
+                ModelSpec("histogram", bins=bins),
+                {"lo": lo, "hi": lo + 1.0, "weights": np.ones((3, 3, bins))},
+            )
+            if fits:
+                assert classify_field(field).p_min[1, 1] == pytest.approx(0.2)
+            else:
+                with pytest.raises(ValueError, match="at most 4094 histogram bins"):
+                    classify_field(field)
+
     def test_zero_width_support_raises(self):
         # the fitters widen degenerate pixels, so the field is built
         # directly; a zero-width border pixel is never a center
         lo = np.random.default_rng(2).uniform(0.0, 1.0, (5, 6))
         hi = lo + 0.5
+        # a zero-width corner, and a zero-width north neighbor of (1, 2),
+        # whose CDF is a step: no warning, and finite probabilities
         hi[0, 0] = lo[0, 0]
-        field = UncertainField(ModelSpec("uniform"), {"lo": lo, "hi": hi})
-        assert np.isfinite(classify_field(field).p_min).all()
+        hi[0, 2] = lo[0, 2]
+
+        def fields():
+            for kind, params in (
+                ("uniform", {"lo": lo, "hi": hi}),
+                ("epanechnikov", {"mean": 0.5 * (lo + hi), "halfwidth": 0.5 * (hi - lo)}),
+                ("histogram", {"lo": lo, "hi": hi, "weights": np.ones((5, 6, 3))}),
+            ):
+                yield UncertainField(ModelSpec(kind, bins=3), params)
+
+        for field in fields():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                prob = classify_field(field)
+            for ch in CHANNELS:
+                inner = prob.channel(ch)[1:-1, 1:-1]
+                assert np.isfinite(inner).all()
+                assert (inner >= 0.0).all() and (inner <= 1.0 + 1e-15).all()
         hi[2, 3] = lo[2, 3]
-        for kind, params in (
-            ("uniform", {"lo": lo, "hi": hi}),
-            ("epanechnikov", {"mean": 0.5 * (lo + hi), "halfwidth": 0.5 * (hi - lo)}),
-            ("histogram", {"lo": lo, "hi": hi, "weights": np.ones((5, 6, 3))}),
-        ):
-            field = UncertainField(ModelSpec(kind, bins=3), params)
+        for field in fields():
             with pytest.raises(ValueError, match="1 interior supports have zero or negative"):
                 classify_field(field)
 

@@ -222,3 +222,34 @@ def test_grid_matches_its_cases_far_from_the_origin(kind, offset, scale):
             got = closed_form_triple(case_at(field, r, c))
             for ch, q in zip(("min", "max", "saddle"), got):
                 assert abs(prob.channel(ch)[r, c] - q) <= BOUND
+
+
+# Every neighbor's support strictly contains the center's [0, 1], so each
+# neighbor CDF changes across the whole center support and the clipped
+# kinks leave one live interval.  Its integrand has the top degree: 4 for
+# uniform and histogram(1) stencils, 14 for Epanechnikov ones.
+COVERING = [(0.0, 1.0), (-0.5, 1.25), (-0.25, 1.5), (-1.0, 1.125), (-0.75, 2.0)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_top_degree_integrand(kind, offset):
+    params = []
+    for lo, hi in COVERING:
+        lo, hi = offset + lo, offset + hi
+        if kind == "epanechnikov":
+            params.append((0.5 * (lo + hi), 0.5 * (hi - lo)))
+        elif kind == "histogram":
+            params.append((lo, hi, np.array([1.0])))
+        else:
+            params.append((lo, hi))
+    kinds = [kind] * len(params)
+    specs = [grid_spec(k, p) for k, p in zip(kinds, params)]
+    want = exact_triple(specs[0], specs[1:])
+    prob = classify_field(same_kind_field(kinds, params))
+    dists = [distribution(k, p) for k, p in zip(kinds, params)]
+    got = closed_form_triple(NeighborhoodCase(dists[0], dists[1:]))
+    for ch, p, q in zip(("min", "max", "saddle"), got, want):
+        assert 0.0 < q < 1.0
+        assert abs(prob.channel(ch)[1, 1] - q) <= BOUND
+        assert abs(p - q) <= BOUND
